@@ -250,7 +250,7 @@ def baseline_comparison(
     """
     clean = clean_scenario(n_days=n_days, seed=seed)
     centers = initial_states_from_trace(
-        np.vstack([r.vector for r in clean.trace.records]), 6, seed=seed
+        clean.columnar.delivered_arrays()[2], 6, seed=seed
     )
     clean_seq = _observable_sequence(clean, centers)
 

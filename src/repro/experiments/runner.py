@@ -63,36 +63,46 @@ from ..config import PipelineConfig
 from ..core.pipeline import DetectionPipeline, WindowResult
 from ..faults.campaign import CampaignSpec
 from ..resilience.chaos import SimulatedWorkerCrash, WorkerChaos
-from ..sensornet.collector import ObservationWindow
-from ..traces.gdi import GDITraceConfig, build_environment, generate_gdi_trace
+from ..sensornet.collector import ArrayWindow, ObservationWindow
+from ..traces.columnar import ColumnarTrace, generate_gdi_trace_columnar
+from ..traces.gdi import GDITraceConfig, build_environment
 from ..traces.schema import Trace
-from ..traces.windows import window_trace_by_samples
+from ..traces.windows import window_trace_columnar_by_samples
 from .journal import CampaignJournal
 from .retry import RetryPolicy, TaskError
 
 
 def compute_initial_states(
-    trace: Trace, config: PipelineConfig, seed: int = 0
+    trace: Union[Trace, ColumnarTrace], config: PipelineConfig, seed: int = 0
 ) -> np.ndarray:
     """Table 1's initial state estimate: offline k-means on the data."""
-    observations = np.vstack([record.vector for record in trace.records])
+    if isinstance(trace, ColumnarTrace):
+        observations = trace.delivered_arrays()[2]
+    else:
+        observations = np.vstack([record.vector for record in trace.records])
     return initial_states_from_trace(
         observations, config.n_initial_states, seed=seed
     )
 
 
 def run_pipeline(
-    trace: Trace,
+    trace: Union[Trace, ColumnarTrace],
     config: Optional[PipelineConfig] = None,
     initial_states: Optional[Sequence[np.ndarray]] = None,
 ) -> DetectionPipeline:
-    """Feed a full trace through a fresh pipeline and return it."""
+    """Feed a full trace through a fresh pipeline and return it.
+
+    Windows are cut columnarly and consumed by the fused
+    :meth:`~DetectionPipeline.process_windows_fast`, which leaves the
+    pipeline bit-identical to a per-window ``process_window`` loop.
+    """
     config = config or PipelineConfig()
     pipeline = DetectionPipeline(config, initial_states=initial_states)
-    for window in window_trace_by_samples(
-        trace, config.window_samples, config.sample_period_minutes
-    ):
-        pipeline.process_window(window)
+    pipeline.process_windows_fast(
+        window_trace_columnar_by_samples(
+            trace, config.window_samples, config.sample_period_minutes
+        )
+    )
     return pipeline
 
 
@@ -156,8 +166,8 @@ class ScenarioRun:
     ----------
     name:
         Scenario label.
-    trace:
-        The (possibly corrupted) delivered trace.
+    columnar:
+        The (possibly corrupted) generated trace as dense arrays.
     pipeline:
         The pipeline after consuming the trace.
     campaign:
@@ -169,21 +179,31 @@ class ScenarioRun:
     """
 
     name: str
-    trace: Trace
+    columnar: ColumnarTrace
     pipeline: DetectionPipeline
     campaign: Optional[CampaignSpec]
     config: PipelineConfig
     trace_config: GDITraceConfig
+    _trace: Optional[Trace] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def trace(self) -> Trace:
+        """The delivered trace as records, built on first access."""
+        if self._trace is None:
+            self._trace = self.columnar.to_trace()
+        return self._trace
 
     @property
     def ground_truth(self) -> Dict[int, str]:
         """sensor id -> planted corruption kind (empty for clean runs)."""
         return self.campaign.ground_truth() if self.campaign else {}
 
-    def windows(self) -> List[ObservationWindow]:
+    def windows(self) -> List[ArrayWindow]:
         """Re-window the trace (for detectors that need raw windows)."""
-        return window_trace_by_samples(
-            self.trace,
+        return window_trace_columnar_by_samples(
+            self.columnar,
             self.config.window_samples,
             self.config.sample_period_minutes,
         )
@@ -217,13 +237,13 @@ def run_scenario(
     config = config or PipelineConfig()
     environment = build_environment(trace_config)
     injector = campaign.build_injector(environment) if campaign else None
-    trace = generate_gdi_trace(trace_config, corruption=injector)
+    columnar = generate_gdi_trace_columnar(trace_config, corruption=injector)
     if initial_states is None and use_offline_initial_states:
-        initial_states = compute_initial_states(trace, config)
-    pipeline = run_pipeline(trace, config, initial_states=initial_states)
+        initial_states = compute_initial_states(columnar, config)
+    pipeline = run_pipeline(columnar, config, initial_states=initial_states)
     return ScenarioRun(
         name=name,
-        trace=trace,
+        columnar=columnar,
         pipeline=pipeline,
         campaign=campaign,
         config=config,
@@ -385,7 +405,7 @@ def _summarize_pipeline(
         system_diagnosis=pipeline.system_diagnosis().anomaly_type.value,
         sensor_diagnoses=diagnoses,
         ground_truth=dict(ground_truth),
-        n_raw_alarms=sum(len(r.raw_alarms) for r in pipeline.results),
+        n_raw_alarms=len(pipeline.alarm_generator.alarms),
         n_tracks=len(pipeline.tracks.tracks),
         correct_model_labels=tuple(model.label(s) for s in model.state_ids),
         digest=pipeline.digest(),
@@ -418,13 +438,14 @@ def _replay_entry(entry, spec: ScenarioSpec) -> ScenarioOutcome:
 
     config = PipelineConfig()
     pipeline = DetectionPipeline(config)
-    for window in windows_from_arrays(
-        entry.timestamps,
-        entry.sensor_ids,
-        entry.values,
-        config.window_minutes,
-    ):
-        pipeline.process_window(window)
+    pipeline.process_windows_fast(
+        windows_from_arrays(
+            entry.timestamps,
+            entry.sensor_ids,
+            entry.values,
+            config.window_minutes,
+        )
+    )
     return _summarize_pipeline(
         pipeline,
         name=entry.label or spec.name,
@@ -447,7 +468,9 @@ def _run_scenario_spec(
     replays the pipeline over columnar windows — no simulation, no
     campaign rebuild (the planted ground truth travels with the entry).
     The outcome is identical to a fresh run (``from_cache`` aside);
-    a miss simulates via the object-path oracle and stores the result.
+    a miss generates the trace columnarly and stores its delivered
+    arrays — byte-identical to the object-path oracle's
+    ``Trace.to_arrays()``, so entries written by either stay valid.
     """
     from . import _SCENARIO_BUILDERS
 
@@ -469,14 +492,14 @@ def _run_scenario_spec(
             return _replay_entry(entry, spec)
     run = builder(n_days=spec.n_days, seed=spec.seed)
     if cache is not None and cache_spec is not None:
-        timestamps, sensor_ids, values = run.trace.to_arrays()
+        timestamps, sensor_ids, values = run.columnar.delivered_arrays()
         cache.store(
             cache_spec,
             timestamps,
             sensor_ids,
             values,
-            attribute_names=run.trace.attribute_names,
-            metadata=run.trace.metadata,
+            attribute_names=run.columnar.attribute_names,
+            metadata=run.columnar.metadata,
             ground_truth=run.ground_truth,
             label=run.name,
         )

@@ -645,40 +645,6 @@ def bench_recovery(
     }
 
 
-def bench_cache(n_days: int = 3, seed: int = 2003) -> Dict[str, object]:
-    """Campaign wall-clock cold (cache miss) vs hot (cache hit).
-
-    Runs the same serial campaign twice against a throwaway cache
-    directory; the second pass loads every trace from the cache.  The
-    per-scenario digests must match or the cache is corrupting results.
-    """
-    from .experiments.runner import ScenarioSpec, run_scenarios_parallel
-
-    names = ["clean", "stuck_at", "calibration", "additive"]
-    specs = [ScenarioSpec(name, n_days=n_days, seed=seed) for name in names]
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
-        start = time.perf_counter()
-        cold = run_scenarios_parallel(specs, n_jobs=1, cache_dir=cache_dir)
-        cold_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        hot = run_scenarios_parallel(specs, n_jobs=1, cache_dir=cache_dir)
-        hot_seconds = time.perf_counter() - start
-
-    if [o.digest for o in cold] != [o.digest for o in hot]:
-        # pragma: no cover - cache correctness violation
-        raise AssertionError("cache-hot campaign diverged from cold run")
-    return {
-        "scenarios": names,
-        "n_days": n_days,
-        "seed": seed,
-        "cold_seconds": round(cold_seconds, 3),
-        "hot_seconds": round(hot_seconds, 3),
-        "speedup": round(cold_seconds / hot_seconds, 2),
-    }
-
-
 def bench_fleet_degradation(
     n_tenants: int = 12,
     n_windows: int = 400,
@@ -960,7 +926,6 @@ def run_bench(
         hmm_us = round(bench_hmm_update(repeats=max(repeats, 5)), 2)
         clusterer_us = round(bench_clusterer_update(repeats=repeats), 1)
         campaign = bench_campaign(n_jobs=n_jobs)
-        cache = bench_cache()
         recovery = bench_recovery()
     return {
         "schema": 7,
@@ -983,7 +948,6 @@ def run_bench(
         "trace_gen_us_per_window": trace_generation["columnar_us_per_window"],
         "trace_generation": trace_generation,
         "campaign": campaign,
-        "cache": cache,
         "recovery": recovery,
         "baseline_pre_optimization": dict(PRE_OPTIMIZATION_BASELINE),
         "environment": environment_info(threads_pinned=threads_pinned),
@@ -1107,13 +1071,6 @@ def render(result: Dict[str, object]) -> str:
         f"parallel(n_jobs={campaign['n_jobs']}) {campaign['parallel_seconds']}s "
         f"-> {campaign_speedup}"
     )
-    cache = result.get("cache")
-    if cache:
-        lines.append(
-            f"  cache ({len(cache['scenarios'])} scenarios, "
-            f"{cache['n_days']} days): cold {cache['cold_seconds']}s, "
-            f"hot {cache['hot_seconds']}s -> {cache['speedup']}x"
-        )
     recovery = result.get("recovery")
     if recovery:
         lines.append(

@@ -109,14 +109,6 @@ def _payload(**overrides):
             "parallel_seconds": 1.0,
             "speedup": 1.0,
         },
-        "cache": {
-            "scenarios": ["clean"],
-            "n_days": 3,
-            "seed": 2003,
-            "cold_seconds": 1.0,
-            "hot_seconds": 0.1,
-            "speedup": 10.0,
-        },
         "baseline_pre_optimization": dict(perf.PRE_OPTIMIZATION_BASELINE),
         "environment": {"python": "3.11", "numpy": "2.0", "cpu_count": 1},
     }
@@ -160,7 +152,6 @@ def test_render_mentions_every_checked_metric():
         assert metric in text
     assert "campaign" in text
     assert "trace gen" in text
-    assert "cache" in text
 
 
 def test_render_tolerates_schema1_payload():
@@ -168,7 +159,6 @@ def test_render_tolerates_schema1_payload():
     old = _payload()
     old["schema"] = 1
     del old["trace_generation"]
-    del old["cache"]
     del old["trace_gen_us_per_window"]
     text = perf.render(_payload())
     assert perf.compare(_payload(), old, tolerance=0.3) == []
