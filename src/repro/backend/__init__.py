@@ -1,12 +1,11 @@
-"""Kernel backend registry (DESIGN.md §15).
+"""Kernel backend registry (DESIGN.md §14).
 
 The hot kernels of the pipeline — the grouped window-mean pass
 (:func:`repro.core.pipeline._batched_window_means`), the full-lane
-distance scan behind :class:`repro.core.states.StateSet` and
-:class:`repro.fleet.engine.FleetEngine`, and the
+distance scan behind :class:`repro.core.states.StateSet`, and the
 :class:`repro.core.filtering.VectorFilterBank` update recurrences —
-are routed through a :class:`KernelBackend` selected at pipeline /
-fleet construction from ``PipelineConfig.backend``:
+are routed through a :class:`KernelBackend` selected at pipeline
+construction from ``PipelineConfig.backend``:
 
 * ``"numpy"`` — the reference implementations (always available).
 * ``"compiled"`` — Numba ``njit`` ports of the same kernels.  When
@@ -72,7 +71,6 @@ class KernelBackend:
     flavor: str
     grouped_sums: Callable
     pairwise_distances: Callable
-    batched_distances: Callable
     k_of_n_lockstep: Callable
     sprt_step: Callable
     cusum_step: Callable
@@ -99,7 +97,6 @@ def _numpy_backend(name: str) -> KernelBackend:
         flavor="numpy",
         grouped_sums=numpy_backend.grouped_sums,
         pairwise_distances=numpy_backend.pairwise_distances,
-        batched_distances=numpy_backend.batched_distances,
         k_of_n_lockstep=numpy_backend.k_of_n_lockstep,
         sprt_step=numpy_backend.sprt_step,
         cusum_step=numpy_backend.cusum_step,
@@ -130,7 +127,6 @@ def get_backend(name: str = "numpy") -> KernelBackend:
                 flavor="numba",
                 grouped_sums=numba_backend.grouped_sums,
                 pairwise_distances=numba_backend.pairwise_distances,
-                batched_distances=numba_backend.batched_distances,
                 k_of_n_lockstep=numba_backend.k_of_n_lockstep,
                 sprt_step=numba_backend.sprt_step,
                 cusum_step=numba_backend.cusum_step,

@@ -85,30 +85,6 @@ def pairwise_distances(
 
 
 @njit(cache=True)
-def _batched(obs, states, out):  # pragma: no cover
-    groups, n, d = obs.shape
-    m = states.shape[1]
-    for g in range(groups):
-        for i in range(n):
-            for j in range(m):
-                acc = 0.0
-                for column in range(d):
-                    delta = obs[g, i, column] - states[g, j, column]
-                    acc += delta * delta
-                out[g, i, j] = math.sqrt(acc)
-
-
-def batched_distances(obs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    out = np.empty((obs.shape[0], obs.shape[1], states.shape[1]))
-    _batched(
-        np.asarray(obs, dtype=np.float64),
-        np.asarray(states, dtype=np.float64),
-        out,
-    )
-    return out
-
-
-@njit(cache=True)
 def _k_of_n_lockstep(buf, position, raws, count, active, k):  # pragma: no cover
     for i in range(raws.shape[0]):
         raw = raws[i]

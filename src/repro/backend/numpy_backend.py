@@ -77,16 +77,6 @@ def pairwise_distances(
     return np.sqrt(sq)
 
 
-def batched_distances(obs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``(G, N, M)`` distances for the fleet's padded tenant batch.
-
-    Same sequential-over-``d`` reduction contract as
-    :func:`pairwise_distances`, one leading fleet axis added.
-    """
-    diff = obs[:, :, None, :] - states[:, None, :, :]
-    return np.sqrt(np.einsum("gnmd,gnmd->gnm", diff, diff))
-
-
 def k_of_n_lockstep(
     buf: np.ndarray,
     position: int,

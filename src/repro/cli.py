@@ -19,8 +19,6 @@ Usage (also available as ``python -m repro``)::
     python -m repro bench --check --tolerance 0.3
     python -m repro bench --profile
     python -m repro parity --days 3 --seed 7
-    python -m repro parity --fleet --tenants 18
-    python -m repro fleet-bench --sizes 1,4,16,64
     python -m repro fuzz --seeds 100
     python -m repro fuzz --seeds 5 --soak
     python -m repro fuzz --fleet --tenants 6 --poisoned 2
@@ -32,7 +30,7 @@ pipeline checkpoint); ``sweep`` runs one ablation study; ``chaos`` runs
 an infrastructure chaos campaign (bursty loss, delay/reordering,
 duplication, clock skew, collector crash + checkpoint restart) and
 prints the degradation report (``--fleet`` instead poisons K of N
-tenants of a fault-isolating :class:`~repro.fleet.ResilientFleetEngine`
+tenants of a fault-isolating :class:`~repro.fleet.FleetEngine`
 with seeded NaN/Inf bursts, exploding values, malformed shapes, and
 forced kernel exceptions, asserting survivors stay bit-identical to
 solo runs; ``--solo-reference`` prints the clean tenants' independent
@@ -49,12 +47,7 @@ times the hot kernels and writes (or, with ``--check``, verifies)
 ``BENCH_pipeline.json`` (``--profile`` appends a cProfile table of the
 fused hot path); ``parity`` replays one trace through the per-window
 oracle and the fused fast path and exits non-zero unless digests,
-snapshots, and per-window results match exactly (``--fleet`` instead
-packs a heterogeneous tenant fleet into one batched
-:class:`~repro.fleet.FleetEngine` and checks every tenant against its
-own independent run); ``fleet-bench`` measures the fleet engine's
-amortized cost per deployment-window against independent per-tenant
-runs across fleet sizes; ``fuzz`` drives the
+snapshots, and per-window results match exactly; ``fuzz`` drives the
 pipeline with seeded
 adversarial streams (NaN/Inf bursts, floods, coordinated corruption)
 and exits non-zero on any crash, invariant violation, or checkpoint
@@ -340,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--fleet",
         action="store_true",
-        help="drive an N-tenant resilient fleet through the pathology "
-        "kinds; non-poisoned tenants must stay digest-identical to "
-        "solo runs",
+        help="drive an N-tenant fault-isolating fleet through the "
+        "pathology kinds; non-poisoned tenants must stay "
+        "digest-identical to solo runs",
     )
     fuzz.add_argument(
         "--tenants",
@@ -404,46 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     parity.add_argument("--days", type=int, default=3)
     parity.add_argument("--seed", type=int, default=7)
     parity.add_argument(
-        "--fleet",
-        action="store_true",
-        help="verify the batched fleet engine against independent "
-        "per-tenant runs over a heterogeneous fleet instead",
-    )
-    parity.add_argument(
-        "--tenants",
-        type=int,
-        default=18,
-        help="fleet size for --fleet (default 18)",
-    )
-    parity.add_argument(
         "--backend",
         choices=("numpy", "compiled"),
         default="numpy",
         help="kernel backend to verify (compiled falls back to the "
         "numpy flavor, with a warning, when numba is unavailable)",
-    )
-
-    fleet_bench = sub.add_parser(
-        "fleet-bench",
-        help="amortized fleet-engine cost per deployment-window vs "
-        "fleet size",
-    )
-    fleet_bench.add_argument(
-        "--sizes",
-        default="1,4,16,64",
-        help="comma-separated fleet sizes to measure (default 1,4,16,64)",
-    )
-    fleet_bench.add_argument(
-        "--windows",
-        type=int,
-        default=400,
-        help="windows per tenant (default 400)",
-    )
-    fleet_bench.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="best-of repetitions per fleet size",
     )
 
     return parser
@@ -747,40 +705,9 @@ def _cmd_bench(args: argparse.Namespace) -> "tuple[str, int]":
 def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
     from . import perf
 
-    if args.fleet:
-        return perf.fleet_parity_command(
-            n_tenants=args.tenants, n_days=args.days, backend=args.backend
-        )
     return perf.parity_command(
         n_days=args.days, seed=args.seed, backend=args.backend
     )
-
-
-def _cmd_fleet_bench(args: argparse.Namespace) -> "tuple[str, int]":
-    from . import perf
-
-    sizes = tuple(
-        int(part) for part in args.sizes.split(",") if part.strip()
-    )
-    result = perf.bench_fleet(
-        n_list=sizes, repeats=args.repeats, n_windows=args.windows
-    )
-    workload = result["workload"]
-    lines = [
-        "fleet bench: amortized cost per deployment-window "
-        f"({workload['n_windows']} windows/tenant, dwell "
-        f"{workload['dwell']}, noise {workload['noise']})"
-    ]
-    for point in result["curve"]:
-        parity = "OK" if point["digest_parity"] else "FAIL"
-        lines.append(
-            f"  N={point['n']:3d}  fleet "
-            f"{point['fleet_us_per_deployment_window']:7.2f} us  "
-            f"independent "
-            f"{point['baseline_us_per_deployment_window']:7.2f} us  "
-            f"-> {point['speedup']}x  parity={parity}"
-        )
-    return "\n".join(lines), 0 if result["digest_parity"] else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> "tuple[str, int]":
@@ -843,10 +770,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
     elif args.command == "parity":
         text, code = _cmd_parity(args)
-        print(text)
-        return code
-    elif args.command == "fleet-bench":
-        text, code = _cmd_fleet_bench(args)
         print(text)
         return code
     elif args.command == "fuzz":

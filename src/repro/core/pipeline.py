@@ -391,11 +391,9 @@ class DetectionPipeline:
     def supervisor_violations(self) -> int:
         """Number of invariant violations recorded by the supervisor.
 
-        0 when the pipeline runs unsupervised.  Cheap enough to poll
-        between fleet steps: the fault-isolating fleet runtime watches
-        this counter to demote a tenant whose repair-mode supervisor
-        fired, without failing the batched advance for the other
-        tenants.
+        0 when the pipeline runs unsupervised.  The fleet driver
+        compares it before and after each epoch to mark a tenant whose
+        repair-mode supervisor fired as degraded.
         """
         return 0 if self.supervisor is None else len(self.supervisor.violations)
 

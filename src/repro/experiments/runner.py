@@ -110,30 +110,24 @@ def run_fleet(
     windows_per_tenant: Sequence[Sequence[ObservationWindow]],
     configs: Optional[Sequence[Optional[PipelineConfig]]] = None,
     *,
-    resilient: bool = False,
     checkpoint_interval: int = 256,
     probation: int = 16,
     max_recoveries: int = 2,
 ) -> List[DetectionPipeline]:
-    """Advance many independent deployments through one batched engine.
+    """Advance many independent deployments through one fleet driver.
 
     ``windows_per_tenant[i]`` is deployment ``i``'s window list (lengths
     may differ); ``configs[i]`` is its pipeline configuration (``None``
     entries — or ``configs=None`` — mean a default config).  Returns one
-    pipeline per deployment, bit-identical to what a per-deployment
-    ``process_windows_fast`` loop would have produced, but advanced
-    through the :class:`~repro.fleet.FleetEngine` struct-of-arrays
-    kernels so the amortized per-window cost stays near-constant as the
-    fleet grows.
-
-    With ``resilient=True`` the fleet runs under the fault-isolating
-    :class:`~repro.fleet.ResilientFleetEngine` instead: a tenant that
-    raises or trips its supervisor is contained, quarantined, and given
-    bounded recovery while the remaining tenants advance bit-identical
-    to a clean run (DESIGN.md §14).  The isolation knobs mirror that
-    engine's constructor.
+    pipeline per deployment.  Each runs through its own
+    ``process_windows_fast`` under the fault-isolating
+    :class:`~repro.fleet.FleetEngine`: a tenant that raises is rolled
+    back, quarantined and given bounded recovery, while every other
+    tenant ends bit-identical to a per-deployment
+    ``process_windows_fast`` loop (DESIGN.md §13).  The isolation knobs
+    mirror that engine's constructor.
     """
-    from ..fleet import FleetEngine, ResilientFleetEngine
+    from ..fleet import FleetEngine
 
     if configs is None:
         configs = [None] * len(windows_per_tenant)
@@ -142,18 +136,12 @@ def run_fleet(
             f"got {len(configs)} configs for "
             f"{len(windows_per_tenant)} window lists"
         )
-    pipelines = [
-        DetectionPipeline(config or PipelineConfig()) for config in configs
-    ]
-    if resilient:
-        engine: FleetEngine = ResilientFleetEngine(
-            pipelines,
-            checkpoint_interval=checkpoint_interval,
-            probation=probation,
-            max_recoveries=max_recoveries,
-        )
-    else:
-        engine = FleetEngine.from_pipelines(pipelines)
+    engine = FleetEngine.from_pipelines(
+        [DetectionPipeline(config or PipelineConfig()) for config in configs],
+        checkpoint_interval=checkpoint_interval,
+        probation=probation,
+        max_recoveries=max_recoveries,
+    )
     engine.process_windows(windows_per_tenant)
     return engine.to_pipelines()
 

@@ -1,32 +1,24 @@
-"""Multi-tenant fleet engine: N independent pipelines, one SoA hot loop.
+"""Multi-tenant fleet driver over per-tenant fused pipelines.
 
-:class:`FleetEngine` packs many independent :class:`DetectionPipeline`
-instances ("tenants") into shared struct-of-arrays blocks and advances
-the whole fleet with a near-constant number of NumPy kernel calls per
-window step, while keeping every tenant's evolution bit-identical to
-running it alone through ``process_windows_fast`` (see DESIGN.md §13).
-
-:class:`ResilientFleetEngine` wraps that hot loop in a fault-isolation
-layer: per-tenant health states (healthy → degraded → quarantined),
-exception containment with bisection attribution, and bounded
-auto-recovery from per-tenant checkpoints (see DESIGN.md §14).
+:class:`FleetEngine` advances many independent
+:class:`~repro.core.pipeline.DetectionPipeline` instances ("tenants"),
+each through its own ``process_windows_fast``, in checkpointed epochs:
+per-tenant health states (healthy → degraded → quarantined), rollback
+of the tenant whose call raised, and bounded auto-recovery with
+probation (see DESIGN.md §13).
 """
 
-from .engine import FleetEngine
-from .isolation import (
+from .engine import (
     DEGRADED,
     HEALTHY,
     QUARANTINED,
-    FleetIsolationError,
-    ResilientFleetEngine,
+    FleetEngine,
     TenantFailure,
     TenantHealth,
 )
 
 __all__ = [
     "FleetEngine",
-    "ResilientFleetEngine",
-    "FleetIsolationError",
     "TenantFailure",
     "TenantHealth",
     "HEALTHY",

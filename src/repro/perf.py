@@ -31,7 +31,6 @@ import numpy as np
 CHECKED_METRICS = (
     "pipeline_us_per_window",
     "fused_pipeline_us_per_window",
-    "fleet_us_per_deployment_window",
     "fleet_isolated_us_per_deployment_window",
     "hmm_update_us",
     "clusterer_update_us",
@@ -47,13 +46,8 @@ CHECKED_METRICS = (
 PRE_OPTIMIZATION_BASELINE = {
     "pipeline_us_per_window": 614.1,
     "fused_pipeline_us_per_window": 614.1,
-    # Per-deployment-window cost of N=64 independent fused runs on the
-    # fleet regime workload before the batched engine (and the steady
-    # pair-bound inf fix) landed.
-    "fleet_us_per_deployment_window": 20.6,
-    # Before the isolation layer, a fault-isolated fleet *was* N
-    # independent fused runs (full per-tenant blast separation but no
-    # batching), so the same 20.6 us/deployment-window applies.
+    # Per-deployment-window cost of independent fused runs on the
+    # fleet regime workload before the steady pair-bound inf fix.
     "fleet_isolated_us_per_deployment_window": 20.6,
     "hmm_update_us": 5.67,
     "clusterer_update_us": 483.3,
@@ -266,134 +260,6 @@ def bench_fused_pipeline(repeats: int = 3, n_windows: int = 200) -> float:
         pipeline.process_windows_fast(array_windows)
 
     return _best_of(repeats, run) / n_windows * 1e6
-
-
-def _fleet_workload(
-    seed: int,
-    n_windows: int = 400,
-    dwell: int = 40,
-    noise: float = 0.25,
-    n_sensors: int = 10,
-):
-    """One tenant's trace for the fleet bench: two-regime telemetry.
-
-    Each deployment alternates between two well-separated operating
-    regimes (think heating/cooling plant states) every ``dwell``
-    windows, with per-sensor Gaussian noise.  This is the workload the
-    fleet engine is built for — long certified steady stretches broken
-    by occasional regime changes — and both the batched engine and the
-    per-tenant baseline are timed on exactly these windows.
-    """
-    from . import PipelineConfig
-    from .sensornet.collector import windows_from_arrays
-
-    rng = np.random.default_rng(seed)
-    ts: List[float] = []
-    sids: List[int] = []
-    vals: List[np.ndarray] = []
-    for index in range(1, n_windows + 1):
-        hot = ((index - 1) // dwell) % 2
-        truth = (
-            np.array([31.0, 95.0]) if hot else np.array([11.0, 55.0])
-        )
-        for sensor in range(n_sensors):
-            ts.append((index - 1) * 60.0 + 1.0)
-            sids.append(sensor)
-            vals.append(truth + rng.normal(0, noise, 2))
-    ts_arr = np.asarray(ts, dtype=float)
-    sid_arr = np.asarray(sids)
-    val_arr = np.asarray(vals, dtype=float)
-    order = np.lexsort((sid_arr, ts_arr))
-    return windows_from_arrays(
-        ts_arr[order],
-        sid_arr[order],
-        val_arr[order],
-        PipelineConfig().window_minutes,
-    )
-
-
-def bench_fleet(
-    n_list: "tuple[int, ...]" = (1, 4, 16, 64),
-    repeats: int = 2,
-    n_windows: int = 400,
-    dwell: int = 40,
-    noise: float = 0.25,
-) -> Dict[str, object]:
-    """Amortized fleet cost per deployment-window vs fleet size.
-
-    For each fleet size ``n`` the same per-tenant regime traces (seeds
-    ``0..n-1``) are run two ways: one ``FleetEngine`` advancing all
-    tenants through shared batched kernels, and ``n`` independent
-    ``process_windows_fast`` runs (the per-tenant baseline).  The
-    per-tenant digests of the two runs must match bit-for-bit at every
-    size — the speedup is only meaningful if the batched engine is
-    exact.
-    """
-    from . import DetectionPipeline, PipelineConfig
-    from .fleet import FleetEngine
-
-    curve = []
-    parity = True
-    for n in n_list:
-        loads = [
-            _fleet_workload(
-                seed, n_windows=n_windows, dwell=dwell, noise=noise
-            )
-            for seed in range(n)
-        ]
-        base_best = float("inf")
-        base_pipes: List[DetectionPipeline] = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            total = 0
-            base_pipes = []
-            for seed in range(n):
-                pipeline = DetectionPipeline(PipelineConfig())
-                total += pipeline.process_windows_fast(loads[seed])
-                base_pipes.append(pipeline)
-            base_best = min(
-                base_best, (time.perf_counter() - start) / total * 1e6
-            )
-        fleet_best = float("inf")
-        engine = None
-        for _ in range(repeats):
-            pipelines = [
-                DetectionPipeline(PipelineConfig()) for _ in range(n)
-            ]
-            engine = FleetEngine.from_pipelines(pipelines)
-            start = time.perf_counter()
-            total = engine.process_windows(loads)
-            fleet_best = min(
-                fleet_best, (time.perf_counter() - start) / total * 1e6
-            )
-        size_parity = [a.digest() for a in base_pipes] == engine.digests()
-        parity = parity and size_parity
-        curve.append(
-            {
-                "n": n,
-                "fleet_us_per_deployment_window": round(fleet_best, 2),
-                "baseline_us_per_deployment_window": round(base_best, 2),
-                "speedup": round(base_best / fleet_best, 2),
-                "digest_parity": size_parity,
-            }
-        )
-    if not parity:  # pragma: no cover - batching correctness violation
-        raise AssertionError(
-            "fleet engine diverged from independent per-tenant runs"
-        )
-    return {
-        "workload": {
-            "n_windows": n_windows,
-            "dwell": dwell,
-            "noise": noise,
-            "n_sensors": 10,
-        },
-        "curve": curve,
-        "fleet_us_per_deployment_window": curve[-1][
-            "fleet_us_per_deployment_window"
-        ],
-        "digest_parity": parity,
-    }
 
 
 def bench_filter_bank(
@@ -651,21 +517,19 @@ def bench_fleet_degradation(
     checkpoint_interval: int = 200,
     repeats: int = 10,
 ) -> Dict[str, object]:
-    """Fault-isolation overhead of the resilient fleet runtime (schema 6).
+    """Fault-isolation overhead of the fleet driver (schema 6).
 
     Two measurements:
 
-    * **No-fault overhead.**  The same regime traces run through a bare
-      ``FleetEngine`` and a ``ResilientFleetEngine`` (epoch checkpoints,
-      health tracking, containment machinery armed but never firing).
-      Runs alternate raw/isolated so both sample the same scheduler
-      noise; per-tenant digests must match bit-for-bit — the overhead
-      number is only meaningful if the isolated run is exact.  The
-      checkpoint cadence is aligned to the workload's regime dwell
-      (200 = 5 x 40-window dwells), the way an operator would pick it:
-      an epoch boundary that coincides with a regime change tears down
-      no certified steady stretch, so chunking costs almost nothing
-      and the overhead is dominated by the per-epoch snapshots.
+    * **No-fault overhead.**  The same regime traces run through a raw
+      per-tenant ``process_windows_fast`` loop and through a
+      ``FleetEngine`` (epoch checkpoints, health tracking, containment
+      armed but never firing).  Runs alternate raw/isolated so both
+      sample the same scheduler noise; per-tenant digests must match
+      bit-for-bit — the overhead number is only meaningful if the
+      isolated run is exact.  With 400 windows per tenant and interval
+      200 each tenant runs two epochs, so the overhead is dominated by
+      the per-epoch snapshots.
     * **Faulted containment.**  A seeded K-of-N poisoning run (via the
       chaos harness) reports what isolation buys: poisoned tenants
       quarantined and re-admitted while survivors stay bit-identical to
@@ -673,8 +537,8 @@ def bench_fleet_degradation(
       perf number.
     """
     from . import DetectionPipeline, PipelineConfig
-    from .fleet import FleetEngine, ResilientFleetEngine
-    from .resilience.fleet_chaos import run_fleet_chaos
+    from .fleet import FleetEngine
+    from .resilience.fleet_chaos import _fleet_workload, run_fleet_chaos
 
     traces = [
         _fleet_workload(1000 + tid, n_windows=n_windows)
@@ -685,16 +549,20 @@ def bench_fleet_degradation(
     def build():
         return [DetectionPipeline(PipelineConfig()) for _ in range(n_tenants)]
 
-    # Collect before and disable GC during each timed run: the engines
-    # discarded by earlier iterations otherwise trigger collections
-    # inside the timing window, and that churn (not the isolation
-    # layer) dominated the raw/isolated delta.
-    def timed(engine):
+    def raw_run(pipelines):
+        for pipeline, windows in zip(pipelines, traces):
+            pipeline.process_windows_fast(windows)
+
+    # Collect before and disable GC during each timed run: the
+    # pipelines discarded by earlier iterations otherwise trigger
+    # collections inside the timing window, and that churn (not the
+    # isolation layer) dominated the raw/isolated delta.
+    def timed(run):
         gc.collect()
         gc.disable()
         try:
             start = time.perf_counter()
-            engine.process_windows(traces)
+            run()
             return time.perf_counter() - start
         finally:
             gc.enable()
@@ -705,23 +573,26 @@ def bench_fleet_degradation(
     # two independent best-of minima sampled at different times.
     raw_best = float("inf")
     ratios = []
-    raw_engine = iso_engine = None
+    raw_pipes: List[DetectionPipeline] = []
+    iso_engine = None
     for _ in range(repeats):
-        raw_engine = FleetEngine(build())
-        raw_seconds = timed(raw_engine)
+        raw_pipes = build()
+        raw_seconds = timed(lambda: raw_run(raw_pipes))
         raw_best = min(raw_best, raw_seconds)
 
-        iso_engine = ResilientFleetEngine(
+        iso_engine = FleetEngine(
             build(), checkpoint_interval=checkpoint_interval
         )
-        ratios.append(timed(iso_engine) / raw_seconds)
+        ratios.append(
+            timed(lambda: iso_engine.process_windows(traces)) / raw_seconds
+        )
     ratios.sort()
     median_ratio = ratios[len(ratios) // 2]
 
-    if raw_engine.digests() != iso_engine.digests():
+    if [p.digest() for p in raw_pipes] != iso_engine.digests():
         # pragma: no cover - isolation correctness violation
         raise AssertionError(
-            "resilient fleet diverged from bare engine on a no-fault run"
+            "fleet driver diverged from per-tenant runs on a no-fault run"
         )
 
     chaos = run_fleet_chaos(
@@ -795,8 +666,6 @@ def bench_backends(repeats: int = 5) -> Dict[str, object]:
     weights = rng.normal(size=(n_rows, d))
     points = rng.normal(size=(64, d))
     matrix = rng.normal(size=(24, d))
-    g_obs = rng.normal(size=(16, 40, d))
-    g_states = rng.normal(size=(16, 24, d))
     n_lanes = 512
     buf = rng.integers(0, 2, (n_lanes, 5)).astype(np.int64)
     raws = rng.random(n_lanes) < 0.3
@@ -808,7 +677,6 @@ def bench_backends(repeats: int = 5) -> Dict[str, object]:
     workloads = {
         "grouped_sums": lambda k: k.grouped_sums(keys, weights, n_groups),
         "pairwise_distances": lambda k: k.pairwise_distances(points, matrix),
-        "batched_distances": lambda k: k.batched_distances(g_obs, g_states),
         "k_of_n_lockstep": lambda k: k.k_of_n_lockstep(
             buf.copy(), 2, raws, count.copy(), active.copy(), 3
         ),
@@ -917,7 +785,6 @@ def run_bench(
     with _pinned_threads() as threads_pinned:
         trace_generation = bench_trace_generation(repeats=repeats)
         filter_bank = bench_filter_bank(repeats=max(repeats, 5))
-        fleet = bench_fleet(repeats=max(repeats - 1, 2))
         fleet_degradation = bench_fleet_degradation()
         backend = bench_backends(repeats=max(repeats, 5))
         parallel_scaling = bench_parallel_scaling()
@@ -933,10 +800,6 @@ def run_bench(
         "parallel_scaling": parallel_scaling,
         "pipeline_us_per_window": pipeline_us,
         "fused_pipeline_us_per_window": fused_us,
-        "fleet_us_per_deployment_window": fleet[
-            "fleet_us_per_deployment_window"
-        ],
-        "fleet": fleet,
         "fleet_isolated_us_per_deployment_window": fleet_degradation[
             "isolated_us_per_deployment_window"
         ],
@@ -1011,14 +874,6 @@ def render(result: Dict[str, object]) -> str:
             f"{trace_generation['columnar_us_per_window']} us/window "
             f"-> {trace_generation['speedup']}x"
         )
-    fleet = result.get("fleet")
-    if fleet:
-        points = ", ".join(
-            f"N={point['n']}: {point['fleet_us_per_deployment_window']} us "
-            f"({point['speedup']}x)"
-            for point in fleet["curve"]
-        )
-        lines.append(f"  fleet amortized cost vs independent runs: {points}")
     degradation = result.get("fleet_degradation")
     if degradation:
         faulted = degradation["faulted"]
@@ -1139,125 +994,6 @@ def parity_command(
                 f"snapshot={_tag(snapshot_ok)} results={_tag(results_ok)}"
             )
     lines.append("parity PASS" if ok else "parity FAIL")
-    return "\n".join(lines), 0 if ok else 1
-
-
-def _synthetic_dim_trace(
-    seed: int, dims: int, n_sensors: int, n_windows: int = 60
-):
-    """A d-dimensional regime trace for fleet-parity heterogeneity.
-
-    The GDI traces are all two-attribute; fleet packing must also hold
-    for tenants whose windows carry other dimensionalities (d == 1
-    routes through the untrusted slow lane, d >= 3 gets its own
-    batched dimensionality group).
-    """
-    from . import PipelineConfig
-    from .sensornet.collector import windows_from_arrays
-
-    rng = np.random.default_rng(seed)
-    base = 10.0 + 5.0 * np.arange(dims)
-    ts: List[float] = []
-    sids: List[int] = []
-    vals: List[np.ndarray] = []
-    for index in range(1, n_windows + 1):
-        hot = ((index - 1) // 15) % 2
-        truth = base + (8.0 if hot else 0.0)
-        for sensor in range(n_sensors):
-            ts.append((index - 1) * 60.0 + 1.0)
-            sids.append(sensor)
-            vals.append(truth + rng.normal(0, 0.3, dims))
-    ts_arr = np.asarray(ts, dtype=float)
-    sid_arr = np.asarray(sids)
-    val_arr = np.asarray(vals, dtype=float)
-    order = np.lexsort((sid_arr, ts_arr))
-    return windows_from_arrays(
-        ts_arr[order],
-        sid_arr[order],
-        val_arr[order],
-        PipelineConfig().window_minutes,
-    )
-
-
-def fleet_parity_command(
-    n_tenants: int = 18, n_days: int = 2, backend: str = "numpy"
-) -> "tuple[str, int]":
-    """The ``repro parity --fleet`` implementation: (report, exit code).
-
-    Packs a heterogeneous fleet — every filter kind, every supervisor
-    mode, varying sensor counts, attribute dimensionalities 1 through
-    3, and unequal trace lengths — into one :class:`FleetEngine` and
-    demands that every tenant finishes bit-identical (digest, JSON
-    snapshot, and per-window results) to its own independent
-    ``process_windows_fast`` run.  ``backend`` selects the kernel
-    backend for both sides (``--backend compiled`` pins the batched
-    compiled kernels).
-    """
-    from . import DetectionPipeline, PipelineConfig
-    from .fleet import FleetEngine
-    from .traces import GDITraceConfig, generate_gdi_trace_columnar
-    from .traces.windows import window_trace_columnar
-
-    kinds = ("k_of_n", "sprt", "cusum")
-    modes = ("off", "warn", "repair")
-    tenants = []
-    for tid in range(n_tenants):
-        kind = kinds[tid % 3]
-        mode = modes[(tid // 3) % 3]
-        n_sensors = 6 + (tid % 7)
-        config = PipelineConfig(
-            filter_kind=kind, supervisor_mode=mode, backend=backend
-        )
-        if tid % 6 == 5:
-            dims = 1 + (tid // 6) % 3
-            windows = _synthetic_dim_trace(
-                seed=300 + tid, dims=dims, n_sensors=n_sensors
-            )
-        else:
-            trace = generate_gdi_trace_columnar(
-                GDITraceConfig(
-                    n_days=n_days + tid % 2,
-                    seed=100 + tid,
-                    n_sensors=n_sensors,
-                )
-            )
-            windows = window_trace_columnar(trace, config.window_minutes)
-        tenants.append((config, windows))
-
-    independent = []
-    for config, windows in tenants:
-        pipeline = DetectionPipeline(config)
-        pipeline.process_windows_fast(windows)
-        independent.append(pipeline)
-
-    fleet_pipes = [DetectionPipeline(config) for config, _ in tenants]
-    engine = FleetEngine.from_pipelines(fleet_pipes)
-    engine.process_windows([windows for _, windows in tenants])
-
-    lines = [
-        f"fleet-vs-independent parity: {n_tenants} heterogeneous "
-        f"tenants, backend {backend}"
-    ]
-    ok = True
-    for tid, (reference, packed) in enumerate(
-        zip(independent, engine.to_pipelines())
-    ):
-        digest_ok = reference.digest() == packed.digest()
-        snapshot_ok = json.dumps(
-            reference.snapshot(), sort_keys=True, default=str
-        ) == json.dumps(packed.snapshot(), sort_keys=True, default=str)
-        results_ok = len(reference.results) == len(packed.results) and all(
-            a == b for a, b in zip(reference.results, packed.results)
-        )
-        ok = ok and digest_ok and snapshot_ok and results_ok
-        config = tenants[tid][0]
-        tag = "OK" if digest_ok and snapshot_ok and results_ok else "FAIL"
-        lines.append(
-            f"  tenant {tid:2d} {config.filter_kind:<7} "
-            f"{config.supervisor_mode:<7} "
-            f"windows={len(tenants[tid][1]):3d} {tag}"
-        )
-    lines.append("fleet parity PASS" if ok else "fleet parity FAIL")
     return "\n".join(lines), 0 if ok else 1
 
 

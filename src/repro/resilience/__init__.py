@@ -34,7 +34,7 @@ PR 4 added the *algorithmic* robustness leg:
   harness behind ``repro fuzz`` (including the ``--fleet`` mode that
   drives a poisoned multi-tenant engine).
 
-The fleet-isolation leg (DESIGN.md §14) adds:
+The fleet-isolation leg (DESIGN.md §13) adds:
 
 * :mod:`repro.resilience.fleet_chaos` — seeded per-tenant poison
   injectors (NaN/Inf bursts, exploding values, malformed window shapes,

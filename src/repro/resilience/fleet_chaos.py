@@ -2,7 +2,7 @@
 
 :mod:`repro.resilience.chaos` attacks the simulated infrastructure and
 the campaign runtime; this module attacks the **fleet layer**: K of N
-tenants in a :class:`~repro.fleet.ResilientFleetEngine` are fed seeded
+tenants in a :class:`~repro.fleet.FleetEngine` are fed seeded
 poison bursts and the run must degrade per tenant, never collectively.
 
 Poison kinds (the fleet analogue of the fuzz harness's pathologies):
@@ -12,12 +12,10 @@ Poison kinds (the fleet analogue of the fuzz harness's pathologies):
     are *absorbed* — the tenant must stay healthy without quarantine.
 ``exploding``
     Finite readings near the float64 ceiling whose window means
-    overflow; the spawn guard raises ``ValueError`` deterministically
-    on both the batched and the per-tenant exact path.
+    overflow; the spawn guard raises ``ValueError`` deterministically.
 ``malformed``
-    Windows with the wrong attribute dimensionality; raises in the
-    batched prepass (vstack dim mismatch) and in the scalar cluster
-    update (broadcast mismatch).
+    Windows with the wrong attribute dimensionality; the fused
+    window-mean prepass raises on the dimension mismatch.
 ``exception``
     A :class:`FaultingWindow` proxy whose data accessors raise
     :class:`InjectedKernelFault` — a forced kernel-level failure.
@@ -66,10 +64,10 @@ class FaultingWindow:
 
     Keeps real ``index`` / ``start_minutes`` / ``end_minutes`` so the
     bookkeeping around the failure stays coherent, but any attempt to
-    read observations, messages, or means — on the batched path or the
-    per-tenant exact path — raises :class:`InjectedKernelFault`.  This
-    is the forced-kernel-exception poison: the failure happens *inside*
-    the shared advance, exactly where containment must catch it.
+    read observations, messages, or means raises
+    :class:`InjectedKernelFault`.  This is the forced-kernel-exception
+    poison: the failure happens *inside* the tenant's fused advance,
+    exactly where containment must catch it.
     """
 
     __slots__ = ("index", "start_minutes", "end_minutes")
@@ -329,12 +327,50 @@ class FleetChaosReport:
         return "\n".join(lines)
 
 
-def _tenant_trace(seed: int, tid: int, n_windows: int) -> List:
-    from ..perf import _fleet_workload
+def _fleet_workload(
+    seed: int,
+    n_windows: int = 400,
+    dwell: int = 40,
+    noise: float = 0.25,
+    n_sensors: int = 10,
+):
+    """One tenant's clean trace: two-regime telemetry.
 
-    return list(
-        _fleet_workload(seed * 1009 + tid, n_windows=n_windows)
+    Each deployment alternates between two well-separated operating
+    regimes (think heating/cooling plant states) every ``dwell``
+    windows, with per-sensor Gaussian noise: long steady stretches
+    broken by occasional regime changes.
+    """
+    from .. import PipelineConfig
+    from ..sensornet.collector import windows_from_arrays
+
+    rng = np.random.default_rng(seed)
+    ts: List[float] = []
+    sids: List[int] = []
+    vals: List[np.ndarray] = []
+    for index in range(1, n_windows + 1):
+        hot = ((index - 1) // dwell) % 2
+        truth = (
+            np.array([31.0, 95.0]) if hot else np.array([11.0, 55.0])
+        )
+        for sensor in range(n_sensors):
+            ts.append((index - 1) * 60.0 + 1.0)
+            sids.append(sensor)
+            vals.append(truth + rng.normal(0, noise, 2))
+    ts_arr = np.asarray(ts, dtype=float)
+    sid_arr = np.asarray(sids)
+    val_arr = np.asarray(vals, dtype=float)
+    order = np.lexsort((sid_arr, ts_arr))
+    return windows_from_arrays(
+        ts_arr[order],
+        sid_arr[order],
+        val_arr[order],
+        PipelineConfig().window_minutes,
     )
+
+
+def _tenant_trace(seed: int, tid: int, n_windows: int) -> List:
+    return list(_fleet_workload(seed * 1009 + tid, n_windows=n_windows))
 
 
 def run_fleet_chaos(
@@ -356,7 +392,7 @@ def run_fleet_chaos(
     quarantined (with its failure recorded) — never crash the fleet.
     """
     from .. import DetectionPipeline, PipelineConfig
-    from ..fleet import ResilientFleetEngine
+    from ..fleet import FleetEngine
     from .checkpoint import snapshot
 
     if n_tenants < 1:
@@ -381,7 +417,7 @@ def run_fleet_chaos(
         else list(traces[tid])
         for tid in range(n_tenants)
     ]
-    engine = ResilientFleetEngine(
+    engine = FleetEngine(
         [DetectionPipeline(PipelineConfig()) for _ in range(n_tenants)],
         checkpoint_interval=checkpoint_interval,
         probation=probation,

@@ -348,7 +348,7 @@ def run_fleet_fuzz(
     n_poisoned: int = 2,
     n_sensors: int = 8,
 ) -> FleetFuzzReport:
-    """Fuzz an N-tenant resilient fleet with per-tenant pathologies.
+    """Fuzz an N-tenant fault-isolating fleet with per-tenant pathologies.
 
     Each seed builds a fleet in which ``n_poisoned`` tenants stream
     windows drawn from all of :data:`PATHOLOGY_KINDS` (under the
@@ -359,7 +359,7 @@ def run_fleet_fuzz(
     ``process_windows_fast`` run — the poison one lane over must be
     invisible, bit for bit.
     """
-    from ..fleet import ResilientFleetEngine
+    from ..fleet import FleetEngine
     from .fleet_chaos import _sha_u64
 
     if n_seeds < 1 or windows_per_seed < 1:
@@ -422,7 +422,7 @@ def run_fleet_fuzz(
                     pipeline.digest(),
                     json.dumps(snapshot(pipeline), sort_keys=True),
                 )
-            engine = ResilientFleetEngine(
+            engine = FleetEngine(
                 [build(tid) for tid in range(n_tenants)],
                 checkpoint_interval=max(8, windows_per_seed // 4),
                 probation=8,

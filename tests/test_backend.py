@@ -183,27 +183,3 @@ class TestScratchIsolation:
         assert d1.shape == (2, 2) and d2.shape == (2, 1)
         d1_again, _ = first.distances_to(points)
         assert np.array_equal(d1, d1_again)
-
-    def test_interleaved_fleet_engines_do_not_share_scratch(self):
-        from repro.fleet import FleetEngine
-        from repro.perf import _fleet_workload
-
-        loads = [_fleet_workload(seed, n_windows=40) for seed in (0, 1)]
-
-        solo_digests = []
-        for load in loads:
-            engine = FleetEngine([DetectionPipeline(PipelineConfig())])
-            engine.process_windows([load])
-            solo_digests.append(engine.digests())
-
-        engines = [
-            FleetEngine([DetectionPipeline(PipelineConfig())])
-            for _ in range(2)
-        ]
-        assert (
-            engines[0]._kernel_scratch is not engines[1]._kernel_scratch
-        )
-        for a, b in zip(*loads):
-            engines[0].process_windows([[a]])
-            engines[1].process_windows([[b]])
-        assert [engine.digests() for engine in engines] == solo_digests

@@ -1,4 +1,4 @@
-"""ResilientFleetEngine: containment, attribution, recovery, parity.
+"""FleetEngine: containment, attribution, recovery, parity.
 
 The fault-isolation layer must be invisible when nothing faults (every
 tenant bit-identical to its solo ``process_windows_fast`` run) and
@@ -20,11 +20,9 @@ from repro.fleet import (
     HEALTHY,
     QUARANTINED,
     FleetEngine,
-    FleetIsolationError,
-    ResilientFleetEngine,
 )
 from repro.resilience.checkpoint import snapshot
-from repro.resilience.fleet_chaos import FaultingWindow, InjectedKernelFault
+from repro.resilience.fleet_chaos import FaultingWindow
 from repro.resilience.invariants import Invariant
 from repro.sensornet.collector import windows_from_arrays
 
@@ -86,7 +84,7 @@ def test_no_fault_run_is_bit_identical_to_solo():
     traces = [regime_windows(seed) for seed in range(4)]
     solos = [solo_reference(t) for t in traces]
 
-    engine = ResilientFleetEngine(
+    engine = FleetEngine(
         [DetectionPipeline(PipelineConfig(n_sensors=6)) for _ in traces],
         checkpoint_interval=40,
         probation=10,
@@ -105,7 +103,7 @@ def test_no_fault_run_is_bit_identical_to_solo():
 
 def test_state_dict_carries_fleet_health_telemetry():
     traces = [regime_windows(seed, n_windows=40) for seed in range(2)]
-    engine = ResilientFleetEngine(
+    engine = FleetEngine(
         [DetectionPipeline(PipelineConfig(n_sensors=6)) for _ in traces],
         checkpoint_interval=20,
     )
@@ -117,11 +115,6 @@ def test_state_dict_carries_fleet_health_telemetry():
         health["overhead_seconds"]
     )
     json.dumps(payload)  # telemetry must stay JSON-ready
-    # The bare engine's payload has no health block.
-    bare = FleetEngine(
-        [DetectionPipeline(PipelineConfig(n_sensors=6))]
-    ).state_dict()
-    assert "fleet_health" not in bare
 
 
 # -- containment, attribution, bounded recovery ------------------------------
@@ -134,7 +127,7 @@ def test_injected_fault_quarantines_culprit_and_spares_survivors():
     poisoned = poison_with_faults(traces[2], burst_start, burst)
     fleet_traces = [traces[0], traces[1], poisoned, traces[3]]
 
-    engine = ResilientFleetEngine(
+    engine = FleetEngine(
         [DetectionPipeline(PipelineConfig(n_sensors=6)) for _ in traces],
         checkpoint_interval=40,
         probation=10,
@@ -183,7 +176,7 @@ def test_max_recoveries_exhaustion_parks_tenant_at_last_good_state():
     poisoned = poison_with_faults(traces[1], 50, 3)
     fleet_traces = [traces[0], poisoned, traces[2]]
 
-    engine = ResilientFleetEngine(
+    engine = FleetEngine(
         [DetectionPipeline(PipelineConfig(n_sensors=6)) for _ in traces],
         checkpoint_interval=40,
         probation=10,
@@ -209,69 +202,38 @@ def test_max_recoveries_exhaustion_parks_tenant_at_last_good_state():
         assert solos[tid].digest() == tenants[tid].digest()
 
 
-def test_unattributable_fault_raises_fleet_isolation_error():
-    class FlakyWindow(FaultingWindow):
-        """Faults on first data access only — probes see a clean window."""
+def test_culprit_pinned_and_survivors_run_once_per_epoch(monkeypatch):
+    # Attribution needs no search: the tenant whose call raised is the
+    # culprit, a per-window replay pins the window, and no other tenant
+    # is ever rolled back or replayed.
+    traces = [regime_windows(seed) for seed in range(4)]
+    position = 70
+    poisoned = poison_with_faults(traces[1], position, 1)
+    fault_index = poisoned[position].index
 
-        __slots__ = ("_fired", "_window")
+    calls = {}
+    fused = DetectionPipeline.process_windows_fast
 
-        def __init__(self, window):
-            super().__init__(
-                window.index, window.start_minutes, window.end_minutes
-            )
-            self._fired = False
-            self._window = window
+    def counting(self, windows):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return fused(self, windows)
 
-        def _maybe_fire(self):
-            if not self._fired:
-                self._fired = True
-                raise InjectedKernelFault("one-shot fault")
-
-        @property
-        def observations(self):
-            self._maybe_fire()
-            return self._window.observations
-
-        @property
-        def messages(self):
-            self._maybe_fire()
-            return self._window.messages
-
-        @property
-        def sensor_ids(self):
-            self._maybe_fire()
-            return self._window.sensor_ids
-
-        @property
-        def sensor_id_array(self):
-            self._maybe_fire()
-            return self._window.sensor_id_array
-
-        @property
-        def is_empty(self):
-            self._maybe_fire()
-            return self._window.is_empty
-
-        def per_sensor_mean(self):
-            self._maybe_fire()
-            return self._window.per_sensor_mean()
-
-        def overall_mean(self):
-            self._maybe_fire()
-            return self._window.overall_mean()
-
-    traces = [regime_windows(seed, n_windows=40) for seed in range(2)]
-    flaky = list(traces[1])
-    flaky[10] = FlakyWindow(flaky[10])
-
-    engine = ResilientFleetEngine(
-        [DetectionPipeline(PipelineConfig(n_sensors=6)) for _ in traces],
-        checkpoint_interval=40,
+    monkeypatch.setattr(DetectionPipeline, "process_windows_fast", counting)
+    pipelines = [DetectionPipeline(PipelineConfig(n_sensors=6)) for _ in traces]
+    engine = FleetEngine(
+        pipelines, checkpoint_interval=40, probation=10, max_recoveries=0
     )
-    # No tenant reproduces the failure solo: quarantining an arbitrary
-    # one would hide an engine bug, so the failure surfaces loudly.
-    with pytest.raises(FleetIsolationError):
-        engine.process_windows([traces[0], flaky])
+    engine.process_windows([traces[0], poisoned, traces[2], traces[3]])
+
+    record = engine.records[1]
+    assert record.status == QUARANTINED
+    assert record.quarantines == 1
+    assert [f.window_index for f in record.failures] == [fault_index]
+    n_epochs = engine.health_report()["counters"]["epochs"]
+    assert n_epochs == 3  # 120 windows / interval 40
+    for tid in (0, 2, 3):
+        assert engine.records[tid].status == HEALTHY
+        assert calls[id(pipelines[tid])] == n_epochs
 
 
 # -- degraded mode via the per-tenant supervisor -----------------------------
@@ -314,7 +276,7 @@ def test_repaired_violation_degrades_tenant_not_fleet():
         solos.append(reference)
 
     pipelines = [build(tainted=tid == 1) for tid in range(3)]
-    engine = ResilientFleetEngine(
+    engine = FleetEngine(
         pipelines, checkpoint_interval=40, probation=10
     )
     consumed = engine.process_windows(traces)
@@ -360,54 +322,14 @@ def test_snapshot_shares_no_state_with_live_or_restored_pipeline():
     assert restored.digest() == pipeline.digest()
 
 
-# -- mid-stretch eviction (stepwise run API) ---------------------------------
-
-
-def test_evict_mid_steady_stretch_seals_deferred_state():
-    # Single-regime traces: after bootstrap both tenants sit in one long
-    # certified steady stretch with deferred quiet-window bookkeeping.
-    traces = [
-        regime_windows(seed, n_windows=80, dwell=80) for seed in range(2)
-    ]
-    split = 30
-
-    pipelines = [DetectionPipeline(PipelineConfig(n_sensors=6)) for _ in traces]
-    engine = FleetEngine(pipelines)
-    n_steps = engine.begin_run(traces)
-    assert n_steps == 80
-    for _ in range(split):
-        assert engine.step_once()
-    evicted = engine.evict(1)
-    while engine.step_once():
-        pass
-    engine.end_run()
-
-    # The evicted tenant must equal a solo run over the same prefix —
-    # its deferred steady-stretch commits sealed at handoff.
-    prefix_reference = solo_reference(traces[1][:split])
-    assert prefix_reference.digest() == evicted.digest()
-    assert snapshot_json(prefix_reference) == snapshot_json(evicted)
-    # And continue cleanly from the sealed state.
-    evicted.process_windows_fast(traces[1][split:])
-    full_reference = solo_reference(traces[1])
-    assert full_reference.digest() == evicted.digest()
-    assert snapshot_json(full_reference) == snapshot_json(evicted)
-
-    # The surviving tenant is untouched by the eviction.
-    survivor_reference = solo_reference(traces[0])
-    (survivor,) = engine.to_pipelines()
-    assert survivor_reference.digest() == survivor.digest()
-    assert snapshot_json(survivor_reference) == snapshot_json(survivor)
-
-
 def test_constructor_rejects_bad_isolation_knobs():
     pipelines = [DetectionPipeline(PipelineConfig(n_sensors=6))]
     with pytest.raises(ValueError):
-        ResilientFleetEngine(pipelines, checkpoint_interval=0)
+        FleetEngine(pipelines, checkpoint_interval=0)
     with pytest.raises(ValueError):
-        ResilientFleetEngine(pipelines, probation=0)
+        FleetEngine(pipelines, probation=0)
     with pytest.raises(ValueError):
-        ResilientFleetEngine(pipelines, max_recoveries=-1)
+        FleetEngine(pipelines, max_recoveries=-1)
 
 
 # -- adversarial harnesses and CLI surface -----------------------------------
@@ -468,24 +390,6 @@ def test_fleet_fuzz_harness_smoke():
     )
     assert report.ok
     assert "verdict: OK" in report.render()
-
-
-def test_run_fleet_resilient_matches_plain_fleet():
-    from repro.experiments.runner import run_fleet
-
-    traces = [regime_windows(seed, n_windows=40) for seed in range(3)]
-    configs = [PipelineConfig(n_sensors=6)] * 3
-    plain = run_fleet(traces, configs)
-    resilient = run_fleet(
-        traces,
-        configs,
-        resilient=True,
-        checkpoint_interval=20,
-        probation=8,
-    )
-    for ours, theirs in zip(plain, resilient):
-        assert ours.digest() == theirs.digest()
-        assert snapshot_json(ours) == snapshot_json(theirs)
 
 
 def test_cli_parses_fleet_chaos_flags():

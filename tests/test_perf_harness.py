@@ -45,7 +45,6 @@ def _payload(**overrides):
         "hmm_update_us": 3.0,
         "clusterer_update_us": 120.0,
         "filter_bank_us": 11.0,
-        "fleet_us_per_deployment_window": 12.0,
         "fleet_isolated_us_per_deployment_window": 12.5,
         "fleet_degradation": {
             "n_tenants": 12,
@@ -71,19 +70,6 @@ def _payload(**overrides):
                 "survivors_bit_identical": True,
                 "all_faults_handled": True,
             },
-        },
-        "fleet": {
-            "workload": {"n_windows": 400, "dwell": 40, "noise": 0.25},
-            "curve": [
-                {
-                    "n": 64,
-                    "fleet_us_per_deployment_window": 12.0,
-                    "baseline_us_per_deployment_window": 20.0,
-                    "speedup": 1.67,
-                    "digest_parity": True,
-                }
-            ],
-            "digest_parity": True,
         },
         "filter_bank": {
             "n_sensors": 50,
@@ -332,7 +318,6 @@ def test_bench_backends_reports_kernels_and_parity():
     assert set(result["kernels"]) == {
         "grouped_sums",
         "pairwise_distances",
-        "batched_distances",
         "k_of_n_lockstep",
         "sprt_step",
         "cusum_step",
