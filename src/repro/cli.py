@@ -396,13 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parity.add_argument("--days", type=int, default=3)
     parity.add_argument("--seed", type=int, default=7)
-    parity.add_argument(
-        "--backend",
-        choices=("numpy", "compiled"),
-        default="numpy",
-        help="kernel backend to verify (compiled falls back to the "
-        "numpy flavor, with a warning, when numba is unavailable)",
-    )
 
     return parser
 
@@ -705,9 +698,7 @@ def _cmd_bench(args: argparse.Namespace) -> "tuple[str, int]":
 def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
     from . import perf
 
-    return perf.parity_command(
-        n_days=args.days, seed=args.seed, backend=args.backend
-    )
+    return perf.parity_command(n_days=args.days, seed=args.seed)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> "tuple[str, int]":

@@ -23,9 +23,10 @@ FILTER_KINDS = ("k_of_n", "sprt", "cusum")
 #: Supported runtime invariant-supervisor modes.
 SUPERVISOR_MODES = ("off", "warn", "repair", "raise")
 
-#: Supported kernel backends (mirrors repro.backend.BACKEND_NAMES;
-#: kept literal here so importing the config never pulls kernel code).
-BACKEND_NAMES = ("numpy", "compiled")
+#: Fields older releases wrote into checkpoints and fleet state dicts;
+#: :meth:`PipelineConfig.from_json_dict` drops them so those payloads
+#: still restore.
+LEGACY_FIELDS = ("backend", "n_jobs")
 
 
 @dataclass
@@ -116,17 +117,6 @@ class PipelineConfig:
     #: meta-alarm and resume learning.
     supervisor_recovery_windows: int = 3
 
-    # --- execution -------------------------------------------------------
-    #: Worker processes for the parallel experiment runner; 0 means "all
-    #: available cores".  Only the fan-out harness reads this — a single
-    #: pipeline run is always one process.
-    n_jobs: int = 1
-    #: Kernel backend: "numpy" (reference) or "compiled" (Numba njit
-    #: ports of the hot kernels; falls back to NumPy with one warning
-    #: when Numba is absent).  Results are bit-identical either way —
-    #: the backend never changes digests (see repro.backend).
-    backend: str = "numpy"
-
     def __post_init__(self) -> None:
         if self.n_sensors <= 0:
             raise ValueError("n_sensors must be positive")
@@ -152,14 +142,6 @@ class PipelineConfig:
             raise ValueError("supervisor_majority_windows must be positive")
         if self.supervisor_recovery_windows < 1:
             raise ValueError("supervisor_recovery_windows must be positive")
-        if self.n_jobs < 0:
-            raise ValueError("n_jobs must be non-negative (0 = all cores)")
-        if self.backend not in BACKEND_NAMES:
-            # Imported lazily: repro.backend stays import-light, and the
-            # structured error carries the offending/available names.
-            from .backend import UnknownBackendError
-
-            raise UnknownBackendError(self.backend)
 
     @property
     def window_minutes(self) -> float:
@@ -229,9 +211,15 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, payload: Dict[str, object]) -> "PipelineConfig":
-        """Inverse of :meth:`to_json_dict`."""
+        """Inverse of :meth:`to_json_dict`.
+
+        The :data:`LEGACY_FIELDS` of older payloads are dropped; any
+        other unknown key raises ``ValueError``.
+        """
         fields = dict(payload)
         classifier = fields.pop("classifier", None)
+        for name in LEGACY_FIELDS:
+            fields.pop(name, None)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(fields) - known
         if unknown:

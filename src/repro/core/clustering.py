@@ -102,7 +102,6 @@ class OnlineStateClusterer:
         spawn_threshold: float = 6.0,
         merge_threshold: float = 3.0,
         max_states: int = 24,
-        kernels: "Optional[object]" = None,
     ):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
@@ -116,7 +115,7 @@ class OnlineStateClusterer:
         self.spawn_threshold = spawn_threshold
         self.merge_threshold = merge_threshold
         self.max_states = max_states
-        self.states = StateSet(initial_vectors, kernels=kernels)
+        self.states = StateSet(initial_vectors)
         if len(self.states) == 0:
             raise ValueError("need at least one initial state")
         #: Reused ``(N+1, d)`` buffer for the fused mean+observations

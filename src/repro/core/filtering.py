@@ -21,6 +21,8 @@ from collections import deque
 
 import numpy as np
 
+from .kernels import cusum_step, k_of_n_lockstep, sprt_step
+
 
 class AlarmFilter:
     """Interface of a per-sensor alarm filter (stateful)."""
@@ -343,23 +345,9 @@ class VectorFilterBank:
     §11).
     """
 
-    def __init__(
-        self,
-        kind: str,
-        params: Dict[str, object],
-        kernels: "Optional[object]" = None,
-    ):
+    def __init__(self, kind: str, params: Dict[str, object]):
         if kind not in _FILTER_CLASSES:
             raise ValueError(f"unknown alarm filter kind: {kind!r}")
-        if kernels is None:
-            from ..backend import get_backend
-
-            kernels = get_backend("numpy")
-        #: Update-kernel implementations (repro.backend.KernelBackend).
-        #: Only the whole-bank lockstep/slice paths route through them;
-        #: the desynced k-of-n gather/scatter stays NumPy-only (rare
-        #: after partial updates, not worth a compiled twin).
-        self._kernels = kernels
         self.kind = kind
         self._slot_of: Dict[int, int] = {}
         self._capacity = 0
@@ -410,11 +398,7 @@ class VectorFilterBank:
             self._g = np.zeros(0, dtype=float)
 
     @classmethod
-    def from_prototype(
-        cls,
-        prototype: AlarmFilter,
-        kernels: "Optional[object]" = None,
-    ) -> "VectorFilterBank":
+    def from_prototype(cls, prototype: AlarmFilter) -> "VectorFilterBank":
         """Build an empty bank matching one scalar filter's kind/params.
 
         ``prototype`` must be a pristine instance of one of the three
@@ -423,9 +407,7 @@ class VectorFilterBank:
         bank gives newly seen sensors) — otherwise ``ValueError``.
         """
         if type(prototype) is KOfNFilter:
-            bank = cls(
-                "k_of_n", {"k": prototype.k, "n": prototype.n}, kernels=kernels
-            )
+            bank = cls("k_of_n", {"k": prototype.k, "n": prototype.n})
         elif type(prototype) is SPRTFilter:
             bank = cls(
                 "sprt",
@@ -435,13 +417,11 @@ class VectorFilterBank:
                     "alpha": prototype.alpha,
                     "beta": prototype.beta,
                 },
-                kernels=kernels,
             )
         elif type(prototype) is CUSUMFilter:
             bank = cls(
                 "cusum",
                 {"drift": prototype.drift, "threshold": prototype.threshold},
-                kernels=kernels,
             )
         else:
             raise ValueError(
@@ -608,7 +588,7 @@ class VectorFilterBank:
         arrays end bit-identical to the gather/scatter kernel's."""
         p = self._pos_sync
         assert p is not None
-        self._kernels.k_of_n_lockstep(
+        k_of_n_lockstep(
             self._buf[:live],
             p,
             raws,
@@ -677,7 +657,7 @@ class VectorFilterBank:
         # ``slots`` is a slot-index array, or a basic slice covering every
         # live slot in order (same elements either way).  The kernel
         # returns fresh gathered arrays; scatter them back.
-        llr, active = self._kernels.sprt_step(
+        llr, active = sprt_step(
             self._llr[slots],
             raws,
             self._active[slots],
@@ -691,7 +671,7 @@ class VectorFilterBank:
 
     def _update_cusum(self, slots: "object", raws: np.ndarray) -> None:
         # ``slots``: see :meth:`_update_sprt`.
-        g, active = self._kernels.cusum_step(
+        g, active = cusum_step(
             self._g[slots],
             raws,
             self._active[slots],

@@ -1,9 +1,11 @@
-"""Reference NumPy implementations of the backend kernel surface.
+"""The pipeline's hot array kernels (DESIGN.md §14).
 
-These are the exact array programs the core modules ran before the
-backend registry existed, lifted out verbatim so the compiled tier has
-a pinned reference to match bit-for-bit.  Each kernel documents the
-accumulation-order contract its Numba port must honour.
+The grouped window-mean pass (:func:`repro.core.pipeline._batched_window_means`),
+the full-lane distance scan behind :class:`repro.core.states.StateSet`,
+and the :class:`repro.core.filtering.VectorFilterBank` update
+recurrences call these functions directly.  Each kernel documents the
+accumulation order the per-window reference path relies on for
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ def grouped_sums(
     ``keys`` is ``(N,)`` int, ``weights`` is ``(N, d)`` float; returns
     ``(counts, sums)`` of shapes ``(minlength,)`` / ``(minlength, d)``.
     Accumulation order contract: each ``(key, column)`` accumulator
-    receives its addends in input-row order, exactly like the
-    ``np.bincount`` passes here — a sequential-loop port sees the same
+    receives its addends in input-row order (``np.bincount`` adds
+    sequentially), so grouping per trace or per window yields the same
     float sums.
 
     ``scratch`` (optional, owner-private) recycles the ``sums`` buffer
@@ -63,7 +65,7 @@ def pairwise_distances(
     whole stretches).  Only the returned distance matrix is freshly
     allocated — callers hold on to it across further queries.  The
     attribute axis ``d`` is tiny (1–3), so the einsum reduction is a
-    sequential sum — the order a compiled per-element loop uses.
+    sequential sum.
     """
     shape = (points.shape[0], matrix.shape[0], matrix.shape[1])
     buffers = scratch.get("pair") if scratch is not None else None
@@ -89,8 +91,7 @@ def k_of_n_lockstep(
 
     ``buf``/``count``/``active`` are the live-slot views of the filter
     bank's ring buffers, counts, and active flags; every ring shares
-    write ``position``.  Pure integer/bool arithmetic — any port is
-    trivially bit-identical.
+    write ``position``.  Pure integer/bool arithmetic.
     """
     delta = raws.astype(np.int64)
     delta -= buf[:, position]

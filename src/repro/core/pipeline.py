@@ -41,6 +41,7 @@ from .classification import (
 from .clustering import ClusterUpdate, OnlineStateClusterer
 from .filtering import FilterBank, FilterTransition, VectorFilterBank
 from .identification import WindowIdentification, identify_window
+from .kernels import grouped_sums
 from .markov import MarkovModel, estimate_markov_model
 from .online_hmm import OnlineHMM
 from .tracks import ErrorAttackTrack, TrackManager
@@ -139,12 +140,6 @@ class DetectionPipeline:
 
             config = PipelineConfig()
         self.config = config
-        # Resolved kernel backend (repro.backend).  Kernels are
-        # bit-identical across backends, so this choice never shows up
-        # in digests — only in digest_metadata().
-        from ..backend import get_backend
-
-        self._backend = get_backend(getattr(config, "backend", "numpy"))
         #: Owner-private scratch for the grouped window-means kernel.
         #: One dict per pipeline: interleaving two pipelines can never
         #: alias each other's reusable buffers.
@@ -210,7 +205,6 @@ class DetectionPipeline:
             spawn_threshold=self.config.spawn_threshold,
             merge_threshold=self.config.merge_threshold,
             max_states=self.config.max_states,
-            kernels=self._backend,
         )
 
     # -- the per-window step ---------------------------------------------
@@ -407,9 +401,7 @@ class DetectionPipeline:
         the fused path then falls back to the per-window oracle.
         """
         try:
-            bank = VectorFilterBank.from_prototype(
-                self.filter_bank.factory(), kernels=self._backend
-            )
+            bank = VectorFilterBank.from_prototype(self.filter_bank.factory())
             bank.load_state_dict(self.filter_bank.state_dict())
         except (ValueError, TypeError):
             return None
@@ -449,9 +441,7 @@ class DetectionPipeline:
             for window in windows:
                 self.process_window(window)
             return len(windows)
-        stats = _batched_window_means(
-            windows, kernels=self._backend, scratch=self._kernel_scratch
-        )
+        stats = _batched_window_means(windows, scratch=self._kernel_scratch)
         scalar_bank = self.filter_bank
         self.filter_bank = vector_bank  # live filter state during the run
         steady: Optional[_SteadyStretch] = None
@@ -896,22 +886,6 @@ class DetectionPipeline:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def digest_metadata(self) -> Dict[str, str]:
-        """:meth:`digest` plus the backend that produced it.
-
-        The backend never joins the hashed payload — kernels are
-        bit-identical across backends, so the same run digests the same
-        under ``numpy`` and ``compiled``.  The metadata records which
-        implementations actually executed (``backend`` is the requested
-        registry name; ``backend_flavor`` is what ran, which differs
-        exactly when the compiled tier fell back to NumPy).
-        """
-        return {
-            "digest": self.digest(),
-            "backend": self._backend.name,
-            "backend_flavor": self._backend.flavor,
-        }
-
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
@@ -1117,7 +1091,6 @@ def _materialize_result(entry: tuple) -> WindowResult:
 
 def _batched_window_means(
     windows: Sequence[ObservationWindow],
-    kernels: "Optional[object]" = None,
     scratch: "Optional[dict]" = None,
 ) -> "List[Optional[tuple]]":
     """Whole-trace per-window per-sensor means in one grouped pass.
@@ -1139,19 +1112,13 @@ def _batched_window_means(
     ``np.bincount`` accumulation over the same values in the same row
     order (bincount adds sequentially in input order, so grouping per
     trace or per window yields the same float), divided by the same
-    counts.  The grouped-sum passes run through ``kernels`` (a
-    :class:`repro.backend.KernelBackend`; NumPy reference when omitted)
-    whose implementations share that accumulation order, so the choice
-    of backend never changes a single bit.  ``scratch`` is the caller's
-    private buffer dict for the one grouped-sum pass whose result does
-    not escape this call; callers that interleave multiple engines must
-    each own their dict (never share one across instances).
+    counts (:func:`repro.core.kernels.grouped_sums` keeps that
+    accumulation order).  ``scratch`` is the caller's private buffer
+    dict for the one grouped-sum pass whose result does not escape this
+    call; callers that interleave multiple engines must each own their
+    dict (never share one across instances).
     """
-    from ..backend import get_backend
     from ..sensornet.collector import ArrayWindow
-
-    if kernels is None:
-        kernels = get_backend("numpy")
 
     stats: List[Optional[tuple]] = [None] * len(windows)
     keep = [
@@ -1172,7 +1139,7 @@ def _batched_window_means(
     # ``sums`` never escapes this call (``means`` below is a fresh
     # fancy-indexed quotient), so its buffer may recycle through the
     # caller's private scratch dict.
-    counts, sums = kernels.grouped_sums(keys, obs_all, total, scratch)
+    counts, sums = grouped_sums(keys, obs_all, total, scratch)
     present, first_rows = np.unique(keys, return_index=True)
     means = sums[present] / counts[present][:, None]
     # Finiteness is always resolved here (one bulk pass) so the fused
@@ -1192,7 +1159,7 @@ def _batched_window_means(
         # These grouped results escape into per-window stats tuples, so
         # they must own fresh arrays: no scratch.
         row_counts = np.asarray(lengths, dtype=np.int64)
-        _, overall = kernels.grouped_sums(window_of, obs_all, len(keep), None)
+        _, overall = grouped_sums(window_of, obs_all, len(keep), None)
         overall /= row_counts[:, None]
         overall_finite = np.isfinite(overall).all(axis=1)
         # Mean of each window's per-sensor means (the Eq. 6 group mean
@@ -1200,7 +1167,7 @@ def _batched_window_means(
         # steady state).  Same strided-sequential == bincount argument as
         # above; ``present`` is ascending, so rows group in order.
         group_of = present // n_codes
-        rows_per, group_means = kernels.grouped_sums(
+        rows_per, group_means = grouped_sums(
             group_of, means, len(keep), None
         )
         group_means /= rows_per[:, None]

@@ -30,6 +30,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .kernels import pairwise_distances
+
 #: Sentinel id for the fictitious ⊥ symbol used by error/attack tracks
 #: when a tracked sensor agrees with the majority (§3.1).
 BOTTOM_STATE_ID = -1
@@ -94,16 +96,7 @@ class StateSet:
     can keep referring to them.
     """
 
-    def __init__(
-        self,
-        initial_vectors: Optional[Sequence[np.ndarray]] = None,
-        kernels: "Optional[object]" = None,
-    ):
-        from ..backend import get_backend
-
-        #: Distance-kernel implementations (repro.backend.KernelBackend);
-        #: defaults to the NumPy reference backend.
-        self._kernels = kernels if kernels is not None else get_backend("numpy")
+    def __init__(self, initial_vectors: Optional[Sequence[np.ndarray]] = None):
         self._states: Dict[int, ModelState] = {}
         self._aliases: Dict[int, int] = {}
         self._next_id = 0
@@ -444,18 +437,12 @@ class StateSet:
         matrix, ids = self._ensure_cache()
         if not ids:
             return np.zeros((points.shape[0], 0)), ids
-        # The kernel lives in the active backend (repro.backend); the
-        # NumPy flavor recycles its (N, M, d) difference tensor and
+        # The kernel recycles its (N, M, d) difference tensor and
         # squared-norm buffer through this instance's private scratch
         # dict (the steady fused loop hits one shape for whole
         # stretches).  Only the returned distance matrix is freshly
         # allocated — callers hold on to it across further queries.
-        return (
-            self._kernels.pairwise_distances(
-                points, matrix, self._distance_scratch
-            ),
-            ids,
-        )
+        return pairwise_distances(points, matrix, self._distance_scratch), ids
 
     def nearest(self, point: np.ndarray) -> Tuple[ModelState, float]:
         """The live state closest to ``point`` and its distance.

@@ -23,10 +23,9 @@ scenario is rebuilt from its own seed, so results are identical
 regardless of ``n_jobs`` and of any interleaving of crashes, retries,
 and resumes.
 
-Pool campaigns are sharded into chunks; with a trace cache the parent
-publishes each chunk's cached traces into shared-memory segments
-(:mod:`repro.experiments.shm`) so workers replay them zero-copy from
-tiny descriptors instead of re-reading files per attempt.
+Pool workers receive only the small spec payload; with a trace cache
+each worker loads a hit itself as zero-copy mmap views
+(:meth:`~repro.traces.cache.TraceCache.load`) and replays it.
 """
 
 from __future__ import annotations
@@ -413,14 +412,12 @@ def summarize_run(run: ScenarioRun, spec: Optional[ScenarioSpec] = None) -> Scen
 
 
 def _replay_entry(entry, spec: ScenarioSpec) -> ScenarioOutcome:
-    """Replay one cached/shared trace through a fresh pipeline.
+    """Replay one cached trace through a fresh pipeline.
 
-    The common tail of both hot paths — a :class:`TraceCache` hit and a
-    shared-memory descriptor handed down by the campaign parent.  The
-    delivered arrays are re-windowed columnar-style and the planted
-    ground truth travels with the entry, so no simulation or campaign
-    rebuild happens; the outcome matches a fresh run bit-for-bit
-    (``from_cache`` aside).
+    The hot path of a :class:`TraceCache` hit.  The delivered arrays
+    are re-windowed columnar-style and the planted ground truth travels
+    with the entry, so no simulation or campaign rebuild happens; the
+    outcome matches a fresh run bit-for-bit (``from_cache`` aside).
     """
     from ..sensornet.collector import windows_from_arrays
 
@@ -545,10 +542,6 @@ class _TaskPayload:
     cache_dir: "Optional[Union[str, Path]]"
     chaos: Optional[WorkerChaos]
     inline: bool
-    #: Shared-memory descriptor published by the campaign parent; when
-    #: set the worker replays the trace zero-copy from the segment
-    #: instead of opening the cache file itself.
-    shm: "Optional[object]" = None
 
 
 @dataclass
@@ -620,17 +613,6 @@ def _run_scenario_task(
             payload.chaos.apply(
                 payload.key, payload.attempt, inline=payload.inline
             )
-        if payload.shm is not None:
-            try:
-                from .shm import attach_entry
-
-                entry = attach_entry(payload.shm)
-            except Exception:
-                # A vanished/unmappable segment degrades to the normal
-                # cache path rather than failing the task.
-                pass
-            else:
-                return _replay_entry(entry, payload.spec)
         return _run_scenario_spec(payload.spec, cache_dir=payload.cache_dir)
     except KeyboardInterrupt:
         raise
@@ -780,7 +762,6 @@ def _execute_pool(
     journal: Optional[CampaignJournal],
     results: "List[Optional[ScenarioOutcome]]",
     report: CampaignReport,
-    shm_by_key: "Optional[Dict[str, object]]" = None,
 ) -> None:
     """Fault-tolerant process-pool execution.
 
@@ -879,11 +860,6 @@ def _execute_pool(
                         cache_dir=cache_dir,
                         chaos=chaos,
                         inline=False,
-                        shm=(
-                            shm_by_key.get(task.key)
-                            if shm_by_key is not None
-                            else None
-                        ),
                     ),
                 )
                 task.deadline = (
@@ -973,57 +949,6 @@ def _execute_pool(
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _publish_chunk_shm(
-    chunk: "List[_Task]", cache_dir: "Union[str, Path]"
-) -> "Tuple[List[object], Optional[Dict[str, object]]]":
-    """Publish one chunk's cache hits into shared memory (parent side).
-
-    Loads each hit zero-copy from the cache (mmap views) and copies it
-    once into a :mod:`multiprocessing.shared_memory` segment; workers
-    then receive only ``(shm_name, offsets, shapes, dtypes)``
-    descriptors instead of re-reading the file per attempt.  Misses get
-    no descriptor and keep the worker-side simulate-and-store path.
-    Entirely best-effort: any failure (no shm support, ``/dev/shm``
-    pressure) just means the chunk runs through the plain cache path.
-    """
-    try:
-        from ..traces.cache import TraceCache, scenario_spec
-        from .shm import publish_entry
-    except Exception:  # pragma: no cover - platform without shm
-        return [], None
-    cache = TraceCache(Path(cache_dir))
-    segments: List[object] = []
-    by_key: Dict[str, object] = {}
-    for task in chunk:
-        entry = cache.load(
-            scenario_spec(task.spec.name, task.spec.n_days, task.spec.seed)
-        )
-        if entry is None:
-            continue
-        try:
-            segment, descriptor = publish_entry(entry)
-        except Exception:  # pragma: no cover - shm exhaustion
-            continue
-        segments.append(segment)
-        by_key[task.key] = descriptor
-    return segments, (by_key or None)
-
-
-def resolve_chunk_size(
-    chunk_size: Optional[int], n_workers: int
-) -> int:
-    """Shard size for the chunked scheduler.
-
-    The default keeps every worker busy for several rounds per chunk
-    (amortizing the per-chunk pool spin-up and shm publish) while
-    bounding how many trace segments are simultaneously resident in
-    shared memory.  Small campaigns stay single-chunk.
-    """
-    if chunk_size is not None and chunk_size > 0:
-        return int(chunk_size)
-    return max(4 * n_workers, 8)
-
-
 def run_campaign(
     specs: Sequence[ScenarioSpec],
     n_jobs: Optional[int] = None,
@@ -1031,8 +956,6 @@ def run_campaign(
     policy: Optional[RetryPolicy] = None,
     chaos: Optional[WorkerChaos] = None,
     journal_dir: "Optional[Union[str, Path]]" = None,
-    chunk_size: Optional[int] = None,
-    use_shared_memory: bool = True,
 ) -> CampaignReport:
     """Run a campaign fault-tolerantly; outcomes in submission order.
 
@@ -1048,21 +971,12 @@ def run_campaign(
     ``journal_dir`` enables the durable write-ahead log — a rerun
     against the same directory replays completed specs exactly-once
     and executes only the remainder.  ``cache_dir`` enables the
-    scenario trace cache as before.
-
-    Pool execution is sharded into chunks of ``chunk_size`` tasks
-    (default :func:`resolve_chunk_size`).  With a ``cache_dir`` and
-    ``use_shared_memory`` (the default), the parent publishes each
-    chunk's cache hits into shared-memory segments once and hands
-    workers zero-copy descriptors — traces cross the process boundary
-    as ``(shm_name, offsets, shapes, dtypes)`` tuples, never as pickled
-    grids — then unlinks the segments when the chunk completes, so peak
-    shm residency is bounded by the chunk, not the campaign.  Misses
-    simulate worker-side and populate the cache, which later chunks
-    pick up.  A spec that fails every retry is
-    quarantined: its placeholder outcome (``error`` set, no digest)
-    keeps the campaign order, and :attr:`CampaignReport.quarantined`
-    surfaces it — a poison spec never discards finished results.
+    scenario trace cache: each worker replays a hit from zero-copy mmap
+    views of the entry and simulates a miss, storing its trace for later
+    campaigns.  A spec that fails every retry is quarantined: its
+    placeholder outcome (``error`` set, no digest) keeps the campaign
+    order, and :attr:`CampaignReport.quarantined` surfaces it — a
+    poison spec never discards finished results.
     """
     specs = list(specs)
     policy = policy or RetryPolicy()
@@ -1096,33 +1010,16 @@ def run_campaign(
                     tasks, cache_dir, policy, chaos, journal, results, report
                 )
             else:
-                n_workers = min(n_jobs, len(tasks))
-                size = resolve_chunk_size(chunk_size, n_workers)
-                for start in range(0, len(tasks), size):
-                    chunk = tasks[start : start + size]
-                    segments: List[object] = []
-                    shm_by_key: "Optional[Dict[str, object]]" = None
-                    if use_shared_memory and cache_dir is not None:
-                        segments, shm_by_key = _publish_chunk_shm(
-                            chunk, cache_dir
-                        )
-                    try:
-                        _execute_pool(
-                            chunk,
-                            min(n_workers, len(chunk)),
-                            cache_dir,
-                            policy,
-                            chaos,
-                            journal,
-                            results,
-                            report,
-                            shm_by_key,
-                        )
-                    finally:
-                        if segments:
-                            from .shm import release_segments
-
-                            release_segments(segments)
+                _execute_pool(
+                    tasks,
+                    min(n_jobs, len(tasks)),
+                    cache_dir,
+                    policy,
+                    chaos,
+                    journal,
+                    results,
+                    report,
+                )
     finally:
         if journal is not None:
             journal.close()
@@ -1139,8 +1036,6 @@ def run_scenarios_parallel(
     policy: Optional[RetryPolicy] = None,
     chaos: Optional[WorkerChaos] = None,
     journal_dir: "Optional[Union[str, Path]]" = None,
-    chunk_size: Optional[int] = None,
-    use_shared_memory: bool = True,
 ) -> List[ScenarioOutcome]:
     """Outcome-list view of :func:`run_campaign` (original API).
 
@@ -1155,6 +1050,4 @@ def run_scenarios_parallel(
         policy=policy,
         chaos=chaos,
         journal_dir=journal_dir,
-        chunk_size=chunk_size,
-        use_shared_memory=use_shared_memory,
     ).outcomes

@@ -116,31 +116,17 @@ def _threadpool_info() -> "Optional[List[Dict[str, object]]]":
         return None
 
 
-def _numba_version() -> "Optional[str]":
-    try:
-        import numba
-
-        return str(numba.__version__)
-    except Exception:
-        return None
-
-
 def environment_info(threads_pinned: bool = False) -> Dict[str, object]:
     """The bench ``environment`` block: toolchain + threading context.
 
     Records everything needed to interpret a timing delta between two
     bench files: interpreter and numpy versions, which BLAS numpy was
-    built against, the live thread pools, the numba version actually
-    driving the compiled backend (null on fallback), and the thread-
-    count environment pins in effect.
+    built against, the live thread pools, and the thread-count
+    environment pins in effect.
     """
-    from .backend import numba_available
-
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": _numba_version(),
-        "numba_available": numba_available(),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "blas": _blas_info(),
@@ -151,7 +137,6 @@ def environment_info(threads_pinned: bool = False) -> Dict[str, object]:
                 "OMP_NUM_THREADS",
                 "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS",
-                "NUMBA_NUM_THREADS",
             )
         },
         "threads_pinned_during_timing": threads_pinned,
@@ -639,97 +624,19 @@ def bench_fleet_degradation(
     }
 
 
-def bench_backends(repeats: int = 5) -> Dict[str, object]:
-    """numpy vs compiled per-kernel cost on the three ported hot paths.
-
-    Times each registry kernel on representative shapes under both
-    backends (after a warm-up call so JIT compilation never lands in a
-    timing), and pins cross-backend correctness with a short fused run
-    whose digest must be identical under ``backend="numpy"`` and
-    ``backend="compiled"``.  On a runner without numba the "compiled"
-    column measures the numpy fallback (flavor recorded), so speedups
-    hover around 1.0 by construction.
-    """
-    import warnings
-
-    from . import DetectionPipeline, PipelineConfig
-    from .backend import get_backend, numba_available
-
-    numpy_backend = get_backend("numpy")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        compiled = get_backend("compiled")
-
-    rng = np.random.default_rng(11)
-    n_rows, n_groups, d = 4000, 400, 2
-    keys = np.sort(rng.integers(0, n_groups, n_rows)).astype(np.int64)
-    weights = rng.normal(size=(n_rows, d))
-    points = rng.normal(size=(64, d))
-    matrix = rng.normal(size=(24, d))
-    n_lanes = 512
-    buf = rng.integers(0, 2, (n_lanes, 5)).astype(np.int64)
-    raws = rng.random(n_lanes) < 0.3
-    count = buf.sum(axis=1)
-    active = count >= 3
-    llr = rng.normal(size=n_lanes)
-    g_scores = np.abs(rng.normal(size=n_lanes))
-
-    workloads = {
-        "grouped_sums": lambda k: k.grouped_sums(keys, weights, n_groups),
-        "pairwise_distances": lambda k: k.pairwise_distances(points, matrix),
-        "k_of_n_lockstep": lambda k: k.k_of_n_lockstep(
-            buf.copy(), 2, raws, count.copy(), active.copy(), 3
-        ),
-        "sprt_step": lambda k: k.sprt_step(
-            llr, raws, active, 1.5, -0.7, 2.2, -2.2
-        ),
-        "cusum_step": lambda k: k.cusum_step(g_scores, raws, active, 0.5, 4.0),
-    }
-    kernels: Dict[str, object] = {}
-    for name, call in workloads.items():
-        row: Dict[str, object] = {}
-        for label, backend in (("numpy", numpy_backend), ("compiled", compiled)):
-            call(backend)  # warm-up: JIT compile outside the timing
-            row[f"{label}_us"] = round(
-                _best_of(repeats, lambda: call(backend)) * 1e6, 2
-            )
-        row["speedup"] = round(row["numpy_us"] / max(row["compiled_us"], 1e-9), 2)
-        kernels[name] = row
-
-    from .traces import GDITraceConfig, generate_gdi_trace_columnar
-
-    trace = generate_gdi_trace_columnar(GDITraceConfig(n_days=1, seed=7))
-    digests = {}
-    for label in ("numpy", "compiled"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pipeline = DetectionPipeline(PipelineConfig(backend=label))
-        pipeline.process_trace_fast(trace)
-        digests[label] = pipeline.digest_metadata()
-    parity = digests["numpy"]["digest"] == digests["compiled"]["digest"]
-    if not parity:  # pragma: no cover - backend correctness violation
-        raise AssertionError("compiled backend diverged from numpy digests")
-    return {
-        "numba_available": numba_available(),
-        "flavors": {"numpy": numpy_backend.flavor, "compiled": compiled.flavor},
-        "kernels": kernels,
-        "digest_parity": parity,
-        "digest_metadata": digests,
-    }
-
-
 def bench_parallel_scaling(
     max_workers: Optional[int] = None, n_days: int = 3, seed: int = 2003
 ) -> Dict[str, object]:
-    """Campaign wall-clock vs worker count over shared-memory traces.
+    """Campaign wall-clock vs worker count.
 
     Pre-populates a throwaway cache with a serial cold pass, measures a
     serial hot pass as the baseline, then sweeps worker counts (always
-    including 1) through :func:`run_campaign`'s pool + shared-memory
-    path.  Every point must reproduce the serial digests bit-for-bit;
-    efficiency is ``serial / (workers * wall)``.  The ``n_workers=1``
-    point runs the same inline path as the baseline, so it differs from
-    ``serial_seconds`` only by timing noise.
+    including 1) through :func:`run_campaign`'s pool, whose workers
+    replay the cached traces.  Every point must reproduce the serial
+    digests bit-for-bit; efficiency is ``serial / (workers * wall)``.
+    The ``n_workers=1`` point runs the same inline path as the
+    baseline, so it differs from ``serial_seconds`` only by timing
+    noise.
     """
     from .experiments.runner import ScenarioSpec, run_campaign
 
@@ -786,7 +693,6 @@ def run_bench(
         trace_generation = bench_trace_generation(repeats=repeats)
         filter_bank = bench_filter_bank(repeats=max(repeats, 5))
         fleet_degradation = bench_fleet_degradation()
-        backend = bench_backends(repeats=max(repeats, 5))
         parallel_scaling = bench_parallel_scaling()
         pipeline_us = round(bench_pipeline(repeats=repeats), 1)
         fused_us = round(bench_fused_pipeline(repeats=max(repeats, 5)), 1)
@@ -795,8 +701,7 @@ def run_bench(
         campaign = bench_campaign(n_jobs=n_jobs)
         recovery = bench_recovery()
     return {
-        "schema": 7,
-        "backend": backend,
+        "schema": 8,
         "parallel_scaling": parallel_scaling,
         "pipeline_us_per_window": pipeline_us,
         "fused_pipeline_us_per_window": fused_us,
@@ -892,18 +797,6 @@ def render(result: Dict[str, object]) -> str:
             f"{faulted['quarantined']} quarantined, "
             f"{faulted['readmitted']} readmitted, survivors {survivors}"
         )
-    backend = result.get("backend")
-    if backend:
-        flavor = backend["flavors"]["compiled"]
-        points = ", ".join(
-            f"{name}: {row['numpy_us']}->{row['compiled_us']} us "
-            f"({row['speedup']}x)"
-            for name, row in backend["kernels"].items()
-        )
-        lines.append(
-            f"  backend numpy vs compiled ({flavor} flavor, parity "
-            f"{'OK' if backend['digest_parity'] else 'FAIL'}): {points}"
-        )
     scaling = result.get("parallel_scaling")
     if scaling:
         points = ", ".join(
@@ -941,9 +834,7 @@ def render(result: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def parity_command(
-    n_days: int = 3, seed: int = 7, backend: str = "numpy"
-) -> "tuple[str, int]":
+def parity_command(n_days: int = 3, seed: int = 7) -> "tuple[str, int]":
     """The ``repro parity`` implementation: (report text, exit code).
 
     Runs one GDI trace through the per-window oracle
@@ -952,9 +843,7 @@ def parity_command(
     every supervisor mode, and demands exact equality of the campaign
     digest, the JSON snapshot, and each per-window result.  Any
     mismatch is a correctness bug in the fused engine, so the exit
-    code is non-zero and CI blocks on it.  ``backend`` selects the
-    kernel backend for *both* sides, so ``--backend compiled`` pins
-    every compiled kernel against the oracle bit-for-bit.
+    code is non-zero and CI blocks on it.
     """
     from . import DetectionPipeline, PipelineConfig
     from .traces import GDITraceConfig, generate_gdi_trace_columnar
@@ -962,16 +851,11 @@ def parity_command(
     trace = generate_gdi_trace_columnar(
         GDITraceConfig(n_days=n_days, seed=seed)
     )
-    lines = [
-        f"fused-vs-oracle parity: {n_days} days, seed {seed}, "
-        f"backend {backend}"
-    ]
+    lines = [f"fused-vs-oracle parity: {n_days} days, seed {seed}"]
     ok = True
     for kind in ("k_of_n", "sprt", "cusum"):
         for mode in ("off", "warn", "repair"):
-            config = PipelineConfig(
-                filter_kind=kind, supervisor_mode=mode, backend=backend
-            )
+            config = PipelineConfig(filter_kind=kind, supervisor_mode=mode)
             oracle = DetectionPipeline(config)
             fused = DetectionPipeline(config)
             oracle_results = oracle.process_trace(trace)

@@ -137,11 +137,6 @@ def restore(
         if clusterer_state is None
         else OnlineStateClusterer.from_state_dict(clusterer_state)
     )
-    if pipeline.clusterer is not None:
-        # The restored clusterer runs under the restoring pipeline's
-        # backend (which may differ from the one that wrote the
-        # checkpoint — backends are bit-identical, so this is free).
-        pipeline.clusterer.states._kernels = pipeline._backend
     pipeline.alarm_generator = AlarmGenerator.from_state_dict(
         payload["alarm_generator"]
     )

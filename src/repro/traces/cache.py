@@ -296,9 +296,7 @@ class TraceCache:
         try:
             with os.fdopen(fd, "wb") as handle:
                 # Uncompressed on purpose: ZIP_STORED members are what
-                # lets load() hand out zero-copy mmap views (and lets
-                # the campaign parent publish them into shared memory
-                # without a decompression pass).
+                # lets load() hand out zero-copy mmap views.
                 np.savez(
                     handle,
                     header=np.asarray(header),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import PipelineConfig
 from repro.experiments import (
     ScenarioOutcome,
     ScenarioSpec,
@@ -110,13 +109,6 @@ def test_campaign_wrapper_delegates(serial_outcomes):
         ["clean", "stuck_at"], n_days=3, seed=17, n_jobs=1
     )
     assert outcomes == serial_outcomes[:2]
-
-
-def test_config_n_jobs_validation():
-    assert PipelineConfig(n_jobs=0).n_jobs == 0
-    assert PipelineConfig(n_jobs=4).n_jobs == 4
-    with pytest.raises(ValueError, match="n_jobs"):
-        PipelineConfig(n_jobs=-1)
 
 
 def test_spec_defaults_match_cached_scenario_defaults():

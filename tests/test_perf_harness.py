@@ -11,19 +11,7 @@ from repro import perf
 
 def _payload(**overrides):
     base = {
-        "schema": 7,
-        "backend": {
-            "numba_available": False,
-            "flavors": {"numpy": "numpy", "compiled": "numpy"},
-            "kernels": {
-                "grouped_sums": {
-                    "numpy_us": 25.0,
-                    "compiled_us": 24.0,
-                    "speedup": 1.04,
-                }
-            },
-            "digest_parity": True,
-        },
+        "schema": 8,
         "parallel_scaling": {
             "scenarios": ["clean"],
             "n_days": 3,
@@ -179,20 +167,20 @@ def test_compare_tolerates_schema6_payload():
     # still check cleanly, and rendering them must not crash.
     old = _payload()
     old["schema"] = 6
-    del old["backend"]
     del old["parallel_scaling"]
     assert perf.compare(_payload(), old, tolerance=0.3) == []
-    text = perf.render(old)
-    assert "backend numpy vs compiled" not in text
-    assert "parallel scaling" not in text
+    assert "parallel scaling" not in perf.render(old)
 
 
-def test_render_mentions_backend_and_scaling_blocks():
+def test_render_mentions_scaling_block():
     text = perf.render(_payload())
-    assert "backend numpy vs compiled" in text
-    assert "grouped_sums" in text
     assert "parallel scaling" in text
     assert "1w: 0.1s (eff 1.0)" in text
+    # A schema-7 baseline still carries the retired backend block; it
+    # checks cleanly and renders without it.
+    old = _payload(schema=7, backend={"kernels": {}, "digest_parity": True})
+    assert perf.compare(_payload(), old, tolerance=0.3) == []
+    assert perf.render(old) == text
 
 
 def test_render_mentions_fleet_isolation_block():
@@ -296,41 +284,11 @@ def test_cli_parses_bench_profile_and_parity():
     assert args.command == "parity"
     assert args.days == 2
     assert args.seed == 9
-    assert args.backend == "numpy"
-
-    args = build_parser().parse_args(["parity", "--backend", "compiled"])
-    assert args.backend == "compiled"
-
-
-def test_parity_command_accepts_backend():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        text, code = perf.parity_command(n_days=1, seed=7, backend="compiled")
-    assert code == 0
-    assert "backend compiled" in text
-    assert "parity PASS" in text
-
-
-def test_bench_backends_reports_kernels_and_parity():
-    result = perf.bench_backends(repeats=1)
-    assert set(result["kernels"]) == {
-        "grouped_sums",
-        "pairwise_distances",
-        "k_of_n_lockstep",
-        "sprt_step",
-        "cusum_step",
-    }
-    for row in result["kernels"].values():
-        assert row["numpy_us"] > 0.0
-        assert row["compiled_us"] > 0.0
-    assert result["digest_parity"] is True
-    assert result["flavors"]["compiled"] in ("numpy", "numba")
+    assert not hasattr(args, "backend")
 
 
 def test_environment_info_is_json_ready():
     info = perf.environment_info(threads_pinned=True)
     json.dumps(info)  # must be serializable as-is
     assert info["threads_pinned_during_timing"] is True
-    assert "numba" in info and "blas" in info and "thread_env" in info
+    assert "blas" in info and "thread_env" in info

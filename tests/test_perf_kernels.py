@@ -5,7 +5,8 @@ update, in-place HMM rows, vectorized ``denoised``) promises *exact*
 equality with the scalar implementations it replaced — same floats, same
 tie-breaks, same spawn/merge decisions.  These tests drive hundreds of
 randomized windows through both paths and assert equality with no
-tolerance.
+tolerance.  The kernels' reusable scratch buffers must stay private to
+their owner, which ``TestScratchIsolation`` pins.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro import DetectionPipeline, PipelineConfig
 from repro.core.clustering import OnlineStateClusterer
 from repro.core.online_hmm import EmissionMatrix, OnlineHMM
 from repro.core.states import StateSet
+from repro.traces import GDITraceConfig, generate_gdi_trace_columnar
+from repro.traces.windows import window_trace_columnar
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +329,49 @@ def test_update_vector_keeps_cache_coherent():
 def test_assign_batch_empty_set_raises():
     with pytest.raises(ValueError, match="empty"):
         StateSet().assign_batch(np.zeros((2, 2)))
+
+
+class TestScratchIsolation:
+    def test_interleaved_pipelines_do_not_share_scratch(self):
+        """Two engines advanced window-by-window own distinct scratch.
+
+        Reusable kernel scratch is per-instance; interleaving two
+        pipelines must produce exactly the digests of two solo runs.
+        """
+        config = PipelineConfig()
+        traces = [
+            generate_gdi_trace_columnar(GDITraceConfig(n_days=1, seed=s))
+            for s in (5, 6)
+        ]
+        window_lists = [
+            window_trace_columnar(trace, config.window_minutes)
+            for trace in traces
+        ]
+
+        solo = []
+        for windows in window_lists:
+            pipeline = DetectionPipeline(PipelineConfig())
+            for window in windows:
+                pipeline.process_windows_fast([window])
+            solo.append(pipeline.digest())
+
+        first = DetectionPipeline(PipelineConfig())
+        second = DetectionPipeline(PipelineConfig())
+        assert first._kernel_scratch is not second._kernel_scratch
+        for a, b in zip(*window_lists):
+            first.process_windows_fast([a])
+            second.process_windows_fast([b])
+        assert [first.digest(), second.digest()] == solo
+
+    def test_stateset_scratch_is_per_instance(self):
+        first = StateSet([np.array([0.0, 0.0]), np.array([5.0, 5.0])])
+        second = StateSet([np.array([1.0, 1.0])])
+        assert first._distance_scratch is not second._distance_scratch
+        points = np.array([[0.5, 0.5], [4.0, 4.0]])
+        d1, _ = first.distances_to(points)
+        d2, _ = second.distances_to(points)
+        # Shapes differ (2 vs 1 states): per-instance scratch must have
+        # kept each call's buffers apart.
+        assert d1.shape == (2, 2) and d2.shape == (2, 1)
+        d1_again, _ = first.distances_to(points)
+        assert np.array_equal(d1, d1_again)

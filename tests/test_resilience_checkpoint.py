@@ -199,8 +199,32 @@ class TestConfigJson:
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_json_dict(payload)
 
+    def test_only_legacy_fields_are_dropped(self):
+        payload = PipelineConfig().to_json_dict()
+        payload.update(backend="compiled", n_jobs=2, not_a_field=1)
+        with pytest.raises(ValueError, match="not_a_field"):
+            PipelineConfig.from_json_dict(payload)
+
 
 class TestSnapshotRestore:
+    def test_legacy_config_keys_restore_and_resume(self):
+        """A checkpoint written when the config still carried ``backend``
+        and ``n_jobs`` restores and resumes to an uninterrupted run."""
+        windows = faulty_trace(30, fault_from=9)
+        uninterrupted = DetectionPipeline(PipelineConfig())
+        for w in windows:
+            uninterrupted.process_window(w)
+
+        writer = DetectionPipeline(PipelineConfig())
+        for w in windows[:15]:
+            writer.process_window(w)
+        payload = json_round_trip(snapshot(writer))
+        payload["config"].update(backend="compiled", n_jobs=2)
+        resumed = restore(payload)
+        for w in windows[15:]:
+            resumed.process_window(w)
+        assert resumed.digest() == uninterrupted.digest()
+
     def test_fresh_pipeline_round_trip(self):
         pipeline = DetectionPipeline(PipelineConfig())
         rebuilt = restore(json_round_trip(snapshot(pipeline)))

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.runner import ScenarioSpec, run_scenarios_parallel
+from repro.experiments.runner import (
+    ScenarioSpec,
+    run_campaign,
+    run_scenarios_parallel,
+)
 from repro.traces import (
     CachedTrace,
     TraceCache,
@@ -247,6 +251,27 @@ class TestCampaignIntegration:
         specs = [ScenarioSpec("clean", n_days=2, seed=5)]
         run_scenarios_parallel(specs, n_jobs=1, cache_dir=str(target))
         assert list(target.glob("*.npz"))
+
+    def test_hot_pool_campaign_matches_serial(self, tmp_path):
+        """Pool workers replay cache hits themselves, bit-for-bit."""
+        specs = [
+            ScenarioSpec("clean", n_days=2, seed=7),
+            ScenarioSpec("stuck_at", n_days=2, seed=7),
+        ]
+        cache_dir = tmp_path / "cache"
+        cold = run_campaign(specs, n_jobs=2, cache_dir=cache_dir)
+        assert [o.from_cache for o in cold.outcomes] == [False, False]
+
+        serial = run_campaign(specs, n_jobs=1, cache_dir=cache_dir)
+        hot = run_campaign(specs, n_jobs=2, cache_dir=cache_dir)
+        # The CLI cache stats line is computed from these flags.
+        assert [o.from_cache for o in hot.outcomes] == [True, True]
+        assert [o.digest for o in hot.outcomes] == [
+            o.digest for o in serial.outcomes
+        ]
+        assert [o.digest for o in cold.outcomes] == [
+            o.digest for o in serial.outcomes
+        ]
 
 
 def _deterministic_store_args(seed: int = 4):
