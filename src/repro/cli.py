@@ -15,9 +15,6 @@ Usage (also available as ``python -m repro``)::
     python -m repro campaign clean stuck_at calibration --jobs 4
     python -m repro campaign clean stuck_at --journal runs/j1 --task-timeout 120
     python -m repro campaign clean stuck_at --jobs 2 --chaos-kill-prob 0.2
-    python -m repro bench
-    python -m repro bench --check --tolerance 0.3
-    python -m repro bench --profile
     python -m repro parity --days 3 --seed 7
     python -m repro fuzz --seeds 100
     python -m repro fuzz --seeds 5 --soak
@@ -42,21 +39,20 @@ backoff, deadlines via ``--task-timeout``, worker-crash recovery,
 poison-spec quarantine — exits non-zero if any spec was quarantined —
 and a durable resume journal via ``--journal``; the ``--chaos-*``
 flags soak-test it with seeded worker-level faults) and prints one
-verdict line each; ``bench``
-times the hot kernels and writes (or, with ``--check``, verifies)
-``BENCH_pipeline.json`` (``--profile`` appends a cProfile table of the
-fused hot path); ``parity`` replays one trace through the per-window
+verdict line each; ``parity`` replays one trace through the per-window
 oracle and the fused fast path and exits non-zero unless digests,
 snapshots, and per-window results match exactly; ``fuzz`` drives the
 pipeline with seeded
 adversarial streams (NaN/Inf bursts, floods, coordinated corruption)
 and exits non-zero on any crash, invariant violation, or checkpoint
-round-trip divergence.
+round-trip divergence.  Timing is not a CLI command: the end-to-end
+benchmark is ``python3 bench/run.py`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -350,45 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tenants fed pathological streams with --fleet (default 2)",
     )
 
-    bench = sub.add_parser(
-        "bench", help="time the hot kernels / check for perf regressions"
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the existing JSON instead of overwriting it",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional slowdown before --check fails (default 0.30)",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="benchmark JSON location (default BENCH_pipeline.json)",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker processes for the campaign timing (0 = all cores)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="best-of repetitions per kernel",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="append a cProfile top-25 cumulative table for the fused "
-        "pipeline hot path",
-    )
-
     parity = sub.add_parser(
         "parity",
         help="verify the fused fast path is bit-identical to the "
@@ -680,25 +637,52 @@ def _cmd_campaign(args: argparse.Namespace) -> "tuple[str, int]":
     return "\n".join(lines), 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> "tuple[str, int]":
-    from . import perf
-
-    return perf.bench_command(
-        output=args.output or perf.DEFAULT_OUTPUT,
-        check=args.check,
-        tolerance=(
-            perf.DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-        ),
-        n_jobs=args.jobs,
-        repeats=args.repeats,
-        profile=args.profile,
-    )
-
-
 def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
-    from . import perf
+    """The ``repro parity`` implementation: (report text, exit code).
 
-    return perf.parity_command(n_days=args.days, seed=args.seed)
+    Runs one GDI trace through the per-window oracle
+    (``process_trace``) and the fused fast path
+    (``process_trace_fast``) for every alarm-filter kind crossed with
+    every supervisor mode, and demands exact equality of the campaign
+    digest, the JSON snapshot, and each per-window result.  Any
+    mismatch is a correctness bug in the fused engine, so the exit
+    code is non-zero and CI blocks on it.
+    """
+    from . import DetectionPipeline, PipelineConfig
+    from .traces import GDITraceConfig, generate_gdi_trace_columnar
+
+    n_days, seed = args.days, args.seed
+    trace = generate_gdi_trace_columnar(
+        GDITraceConfig(n_days=n_days, seed=seed)
+    )
+    lines = [f"fused-vs-oracle parity: {n_days} days, seed {seed}"]
+    ok = True
+    for kind in ("k_of_n", "sprt", "cusum"):
+        for mode in ("off", "warn", "repair"):
+            config = PipelineConfig(filter_kind=kind, supervisor_mode=mode)
+            oracle = DetectionPipeline(config)
+            fused = DetectionPipeline(config)
+            oracle_results = oracle.process_trace(trace)
+            fused.process_trace_fast(trace)
+            fused_results = fused.results
+            digest_ok = oracle.digest() == fused.digest()
+            snapshot_ok = json.dumps(
+                oracle.snapshot(), sort_keys=True, default=str
+            ) == json.dumps(fused.snapshot(), sort_keys=True, default=str)
+            results_ok = len(oracle_results) == len(fused_results) and all(
+                a == b for a, b in zip(oracle_results, fused_results)
+            )
+            ok = ok and digest_ok and snapshot_ok and results_ok
+
+            def _tag(flag: bool) -> str:
+                return "OK" if flag else "FAIL"
+
+            lines.append(
+                f"  {kind:<7} {mode:<7} digest={_tag(digest_ok)} "
+                f"snapshot={_tag(snapshot_ok)} results={_tag(results_ok)}"
+            )
+    lines.append("parity PASS" if ok else "parity FAIL")
+    return "\n".join(lines), 0 if ok else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> "tuple[str, int]":
@@ -753,10 +737,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
     elif args.command == "campaign":
         text, code = _cmd_campaign(args)
-        print(text)
-        return code
-    elif args.command == "bench":
-        text, code = _cmd_bench(args)
         print(text)
         return code
     elif args.command == "parity":

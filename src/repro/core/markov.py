@@ -12,10 +12,12 @@ discussion drops state (16,27)), and compares two models structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -78,7 +80,13 @@ class MarkovModel:
         return f"({coords})"
 
     def to_graph(self, min_probability: float = 0.01) -> nx.DiGraph:
-        """Export as a networkx digraph (nodes carry labels/visits)."""
+        """Export as a networkx digraph (nodes carry labels/visits).
+
+        networkx is imported here, not at module top, so that
+        ``import repro`` needs only numpy.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         for idx, state_id in enumerate(self.state_ids):
             graph.add_node(

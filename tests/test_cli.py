@@ -1,7 +1,13 @@
 """Tests for the repro CLI (python -m repro)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -22,6 +28,18 @@ class TestParser:
         args = build_parser().parse_args(["reproduce", "fig7"])
         assert args.days == 21
         assert args.seed == 2003
+
+    def test_parses_parity(self):
+        args = build_parser().parse_args(["parity", "--days", "2", "--seed", "9"])
+        assert args.command == "parity"
+        assert args.days == 2
+        assert args.seed == 9
+        assert not hasattr(args, "backend")
+
+    def test_bench_is_not_a_subcommand(self):
+        # Timing lives in bench/ (python3 bench/run.py), not in the CLI.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
 
 
 class TestCommands:
@@ -55,6 +73,16 @@ class TestCommands:
         assert "per-sensor diagnoses: none" in out
         assert "system verdict: none" in out
 
+    def test_parity_passes_and_reports_grid(self, capsys):
+        assert main(["parity", "--days", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "parity PASS" in out
+        # every filter kind x supervisor mode appears in the grid
+        for kind in ("k_of_n", "sprt", "cusum"):
+            assert kind in out
+        for mode in ("off", "warn", "repair"):
+            assert mode in out
+
 
 class TestCLIReporting:
     def test_scenario_save_writes_json(self, capsys, tmp_path):
@@ -76,3 +104,43 @@ class TestCLIReporting:
         assert "Incident report — stuck_at" in out
         assert "recommended action" in out
         assert "replacement" in out
+
+
+_BLOCKED_IMPORTS = textwrap.dedent(
+    """
+    import importlib.abc
+    import sys
+
+    class Block(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] in ("networkx", "scipy", "hypothesis"):
+                raise ImportError(f"{name} is blocked")
+            return None
+
+    sys.meta_path.insert(0, Block())
+
+    import repro
+    import repro.cli
+    import repro.experiments
+
+    code = repro.cli.main(["list"])
+    assert "networkx" not in sys.modules, "networkx was imported"
+    sys.exit(code)
+    """
+)
+
+
+def test_import_and_list_need_only_numpy():
+    """``import repro`` and ``repro list`` run with the optional deps blocked."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_IMPORTS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sweeps:" in proc.stdout
+
