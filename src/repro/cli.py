@@ -40,12 +40,11 @@ poison-spec quarantine — exits non-zero if any spec was quarantined —
 and a durable resume journal via ``--journal``; the ``--chaos-*``
 flags soak-test it with seeded worker-level faults) and prints one
 verdict line each; ``parity`` replays one trace through the per-window
-oracle and the fused fast path and exits non-zero unless digests,
-snapshots, and per-window results match exactly; ``fuzz`` drives the
-pipeline with seeded
-adversarial streams (NaN/Inf bursts, floods, coordinated corruption)
-and exits non-zero on any crash, invariant violation, or checkpoint
-round-trip divergence.  Timing is not a CLI command: the end-to-end
+oracle, the fused batch path and the streamed fused step and exits
+non-zero unless digests, snapshots, and per-window results match
+exactly; ``fuzz`` drives the pipeline with seeded adversarial streams
+(NaN/Inf bursts, floods, coordinated corruption) and exits non-zero on
+any crash, invariant violation, or checkpoint round-trip divergence.  Timing is not a CLI command: the end-to-end
 benchmark is ``python3 bench/run.py`` (see ``BENCHMARK.json``).
 """
 
@@ -348,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     parity = sub.add_parser(
         "parity",
-        help="verify the fused fast path is bit-identical to the "
-        "per-window oracle",
+        help="verify the fused batch and streaming paths are "
+        "bit-identical to the per-window oracle",
     )
     parity.add_argument("--days", type=int, default=3)
     parity.add_argument("--seed", type=int, default=7)
@@ -640,16 +639,22 @@ def _cmd_campaign(args: argparse.Namespace) -> "tuple[str, int]":
 def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
     """The ``repro parity`` implementation: (report text, exit code).
 
-    Runs one GDI trace through the per-window oracle
-    (``process_trace``) and the fused fast path
-    (``process_trace_fast``) for every alarm-filter kind crossed with
-    every supervisor mode, and demands exact equality of the campaign
-    digest, the JSON snapshot, and each per-window result.  Any
+    Replays one GDI trace through the per-window oracle
+    (``_process_window_reference``), the fused batch path
+    (``process_windows_fast``) and the streamed fused step
+    (``process_window`` one window at a time, with a digest read
+    mid-run that folds the live state back) for every alarm-filter kind
+    crossed with every supervisor mode, and demands exact equality of
+    the digest, the JSON snapshot, and each per-window result.  Any
     mismatch is a correctness bug in the fused engine, so the exit
     code is non-zero and CI blocks on it.
     """
     from . import DetectionPipeline, PipelineConfig
-    from .traces import GDITraceConfig, generate_gdi_trace_columnar
+    from .traces import (
+        GDITraceConfig,
+        generate_gdi_trace_columnar,
+        window_trace_columnar,
+    )
 
     n_days, seed = args.days, args.seed
     trace = generate_gdi_trace_columnar(
@@ -657,30 +662,44 @@ def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
     )
     lines = [f"fused-vs-oracle parity: {n_days} days, seed {seed}"]
     ok = True
+
+    def _snapshot(pipeline: DetectionPipeline) -> str:
+        return json.dumps(pipeline.snapshot(), sort_keys=True, default=str)
+
+    def _tag(flag: bool) -> str:
+        return "OK" if flag else "FAIL"
+
     for kind in ("k_of_n", "sprt", "cusum"):
         for mode in ("off", "warn", "repair"):
             config = PipelineConfig(filter_kind=kind, supervisor_mode=mode)
+            windows = window_trace_columnar(trace, config.window_minutes)
             oracle = DetectionPipeline(config)
+            oracle_results = [
+                oracle._process_window_reference(window) for window in windows
+            ]
             fused = DetectionPipeline(config)
-            oracle_results = oracle.process_trace(trace)
-            fused.process_trace_fast(trace)
-            fused_results = fused.results
-            digest_ok = oracle.digest() == fused.digest()
-            snapshot_ok = json.dumps(
-                oracle.snapshot(), sort_keys=True, default=str
-            ) == json.dumps(fused.snapshot(), sort_keys=True, default=str)
-            results_ok = len(oracle_results) == len(fused_results) and all(
-                a == b for a, b in zip(oracle_results, fused_results)
-            )
-            ok = ok and digest_ok and snapshot_ok and results_ok
-
-            def _tag(flag: bool) -> str:
-                return "OK" if flag else "FAIL"
-
-            lines.append(
-                f"  {kind:<7} {mode:<7} digest={_tag(digest_ok)} "
-                f"snapshot={_tag(snapshot_ok)} results={_tag(results_ok)}"
-            )
+            fused.process_windows_fast(windows)
+            stream = DetectionPipeline(config)
+            stream_results = []
+            for position, window in enumerate(windows):
+                stream_results.append(stream.process_window(window))
+                if position == len(windows) // 2:
+                    stream.digest()
+            for engine, pipeline, results in (
+                ("fused", fused, fused.results),
+                ("stream", stream, stream_results),
+            ):
+                digest_ok = oracle.digest() == pipeline.digest()
+                snapshot_ok = _snapshot(oracle) == _snapshot(pipeline)
+                results_ok = len(oracle_results) == len(results) and all(
+                    a == b for a, b in zip(oracle_results, results)
+                )
+                ok = ok and digest_ok and snapshot_ok and results_ok
+                lines.append(
+                    f"  {engine:<6} {kind:<7} {mode:<7} "
+                    f"digest={_tag(digest_ok)} snapshot={_tag(snapshot_ok)} "
+                    f"results={_tag(results_ok)}"
+                )
     lines.append("parity PASS" if ok else "parity FAIL")
     return "\n".join(lines), 0 if ok else 1
 

@@ -176,7 +176,10 @@ class OnlineHMM:
         self._transition = grown
         # Grow B with a zero-filled row, then point it at the state's own
         # symbol (identity initialisation in the shared alphabet).
-        self._emission = np.pad(self._emission, ((0, 1), (0, 0)))
+        rows, columns = self._emission.shape
+        grown = np.zeros((rows + 1, columns))
+        grown[:rows] = self._emission
+        self._emission = grown
         self._state_visits.setdefault(state_id, 0)
         symbol_index = self._ensure_symbol(state_id)
         self._emission[index, :] = 0.0
@@ -189,7 +192,10 @@ class OnlineHMM:
             return self._symbol_index[symbol_id]
         index = len(self._symbol_index)
         self._symbol_index[symbol_id] = index
-        self._emission = np.pad(self._emission, ((0, 0), (0, 1)))
+        rows, columns = self._emission.shape
+        grown = np.zeros((rows, columns + 1))
+        grown[:, :columns] = self._emission
+        self._emission = grown
         self._symbol_visits.setdefault(symbol_id, 0)
         return index
 

@@ -16,6 +16,11 @@ Per window the pipeline:
 6. updates the global online HMM ``M_CO`` with ``(c_i, o_i)`` (each
    track updates its own ``M_CE`` in step 5),
 7. appends ``c_i``/``o_i`` to the sequences behind ``M_C``/``M_O``.
+
+Two entry points consume windows, both through one fused step:
+``process_window`` (one window as it arrives) and
+``process_windows_fast`` (a batch, one grouped means pass).  The private
+``_process_window_reference`` is the per-window oracle they are pinned to.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..sensornet.collector import ObservationWindow
+from ..sensornet.collector import ArrayWindow, ObservationWindow
 
 if TYPE_CHECKING:  # avoid a circular import; see repro.config
     from ..config import PipelineConfig
@@ -52,7 +57,9 @@ class _SteadyStretch:
     Tracks the Python-float evolution of the unanimous centroid (``c``),
     the static other-state vectors the certificates are measured
     against, and the deferred visit / alarm-history / filter-advance
-    counts folded back into the live modules at stretch exit.
+    counts folded back into the live modules at stretch exit.  A
+    stretch stays open across ``process_window`` calls until a window
+    fails its certificate or a reader forces ``DetectionPipeline._sync``.
     """
 
     __slots__ = (
@@ -149,9 +156,18 @@ class DetectionPipeline:
             if initial_states is not None
             else None
         )
-        self.clusterer: Optional[OnlineStateClusterer] = None
-        self.alarm_generator = AlarmGenerator()
-        self.filter_bank = FilterBank(factory=self.config.filter_factory())
+        self._clusterer: Optional[OnlineStateClusterer] = None
+        self._alarm_generator = AlarmGenerator()
+        self._filter_bank = FilterBank(factory=self.config.filter_factory())
+        #: Live fused state, kept across calls and folded back into the
+        #: scalar modules by ``_sync`` before anything reads them: the
+        #: vector mirror of ``_filter_bank`` (None until the first fused
+        #: step, or after a fold) and the open steady stretch, if any.
+        self._vector_bank: Optional[VectorFilterBank] = None
+        self._steady: Optional[_SteadyStretch] = None
+        #: True once the filter bank proved non-vectorizable (custom
+        #: factory or heterogeneous state): every window takes the oracle.
+        self._scalar_only = False
         # Table 1's beta/gamma are retention factors; the online HMMs take
         # the complementary innovation rates (see OnlineHMM's docstring).
         self.tracks = TrackManager(
@@ -181,6 +197,84 @@ class DetectionPipeline:
 
             self.supervisor = PipelineSupervisor.from_config(self.config)
 
+    # -- live fused state ---------------------------------------------------
+
+    def _sync(self, filters: bool = False) -> None:
+        """Fold the live fused state back into the scalar modules.
+
+        Ends an open steady stretch (its deferred centroid motion,
+        alarm-history runs and quiescent filter advances).  With
+        ``filters`` it also folds the vector filter bank into the scalar
+        :class:`FilterBank` and drops it, so the caller may read or
+        mutate the scalar bank; the next fused step rebuilds the mirror.
+        The ``clusterer``/``alarm_generator``/``filter_bank`` accessors
+        call this, so every reader (digest, snapshot, diagnoses, models,
+        the supervisor, the oracle) sees exactly the oracle's state.
+        """
+        steady = self._steady
+        if steady is not None:
+            self._steady = None
+            self._steady_exit(steady)
+        if filters and self._vector_bank is not None:
+            self._filter_bank.load_state_dict(self._vector_bank.state_dict())
+            self._vector_bank = None
+
+    @property
+    def clusterer(self) -> Optional[OnlineStateClusterer]:
+        """The online state clusterer (None before the first window)."""
+        self._sync()
+        return self._clusterer
+
+    @clusterer.setter
+    def clusterer(self, value: Optional[OnlineStateClusterer]) -> None:
+        self._sync()
+        self._clusterer = value
+
+    @property
+    def alarm_generator(self) -> AlarmGenerator:
+        """The raw-alarm generator and its per-sensor alarm history."""
+        self._sync()
+        return self._alarm_generator
+
+    @alarm_generator.setter
+    def alarm_generator(self, value: AlarmGenerator) -> None:
+        self._sync()
+        self._alarm_generator = value
+
+    @property
+    def filter_bank(self) -> FilterBank:
+        """The per-sensor alarm filters, as a scalar :class:`FilterBank`."""
+        self._sync(filters=True)
+        return self._filter_bank
+
+    @filter_bank.setter
+    def filter_bank(self, value: FilterBank) -> None:
+        self._sync(filters=True)
+        self._filter_bank = value
+        self._scalar_only = False
+
+    def _live_vector_bank(self) -> Optional[VectorFilterBank]:
+        """The fused path's filter bank, mirrored from the scalar bank on
+        first use and kept live across calls.
+
+        ``None`` when the configuration's filter factory is not one of
+        the three stock filters, or when the scalar bank holds per-sensor
+        state the homogeneous vector bank cannot represent (e.g. a
+        checkpoint restored under a different filter configuration) —
+        the caller then runs the per-window oracle.
+        """
+        bank = self._vector_bank
+        if bank is None and not self._scalar_only:
+            scalar = self._filter_bank
+            try:
+                bank = VectorFilterBank.from_prototype(scalar.factory())
+                bank.load_state_dict(scalar.state_dict())
+            except (ValueError, TypeError):
+                self._scalar_only = True
+                return None
+            self._vector_bank = bank
+        return bank
+
     # -- bootstrap ----------------------------------------------------------
 
     def _bootstrap_clusterer(self, per_sensor: Dict[int, np.ndarray]) -> None:
@@ -199,7 +293,7 @@ class DetectionPipeline:
                     vectors.append(np.asarray(vector, dtype=float))
                 if len(vectors) >= self.config.n_initial_states:
                     break
-        self.clusterer = OnlineStateClusterer(
+        self._clusterer = OnlineStateClusterer(
             initial_vectors=vectors,
             alpha=self.config.alpha,
             spawn_threshold=self.config.spawn_threshold,
@@ -251,7 +345,66 @@ class DetectionPipeline:
         return finite, overall
 
     def process_window(self, window: ObservationWindow) -> WindowResult:
-        """Consume one observation window; returns what was derived."""
+        """Consume one observation window; returns what was derived.
+
+        The paper's on-the-fly step (§3, Fig. 1), run through the fused
+        engine: one window's means come from :func:`_window_stats`, the
+        vector filter bank and any certified steady stretch stay live
+        across calls (folded back by ``_sync`` before anything reads
+        them), so a streamed window costs about what it costs inside
+        :meth:`process_windows_fast`.  The returned :class:`WindowResult`
+        and every piece of pipeline state are bit-identical to the
+        per-window oracle ``_process_window_reference``, which also
+        serves non-vectorizable filter banks.
+        """
+        stat = _window_stats(window, self._kernel_scratch)
+        # The trusted clusterer kernels rely on this fp state (huge
+        # observations saturate to inf).
+        with np.errstate(over="ignore"):
+            self._fused_step(window, stat)
+        return self.results[-1]
+
+    def process_windows_fast(self, windows: Sequence[ObservationWindow]) -> int:
+        """Consume many windows through the fused step, one stats pass.
+
+        The same step as :meth:`process_window` in a loop, but the
+        per-sensor window means of the whole batch come from one grouped
+        ``bincount`` pass (:func:`_batched_window_means`) and
+        :class:`WindowResult` construction is deferred (see
+        :attr:`results`).  Returns the number of windows consumed.
+        """
+        stats = _batched_window_means(windows, scratch=self._kernel_scratch)
+        # One fp-state save for the whole run (see process_window).
+        with np.errstate(over="ignore"):
+            for window, stat in zip(windows, stats):
+                self._fused_step(window, stat)
+        return len(windows)
+
+    def _fused_step(self, window: ObservationWindow, stat: "Optional[tuple]") -> None:
+        """One window through the fused engine: the steady-stretch
+        certificate first, else the full fused step (which may open a
+        stretch); the oracle when the filter bank cannot be vectorized.
+        The caller holds ``np.errstate(over="ignore")``."""
+        bank = self._live_vector_bank()
+        if bank is None:
+            self._process_window_reference(window)
+            return
+        steady = self._steady
+        if steady is not None:
+            if self._steady_step(window, stat, steady, bank):
+                return
+            self._steady = None
+            self._steady_exit(steady)
+        hint = self._process_window_fast(window, stat, bank)
+        if hint is not None and self.supervisor is None:
+            self._steady = self._steady_enter(hint)
+
+    def _process_window_reference(self, window: ObservationWindow) -> WindowResult:
+        """The per-window reference step: the fused engine's oracle.
+
+        Runs every module of Fig. 1 on the scalar state, one window at a
+        time; the parity suites pin the fused step to it bit for bit.
+        """
         self._n_windows += 1
         per_sensor, overall_mean = self._sanitize(window)
         if not per_sensor:
@@ -341,28 +494,7 @@ class DetectionPipeline:
             self.supervisor.after_window(self)
         return result
 
-    def process_windows(
-        self, windows: Sequence[ObservationWindow]
-    ) -> List[WindowResult]:
-        """Batch-feed a list of windows (trace-driven experiments)."""
-        return [self.process_window(window) for window in windows]
-
-    def process_trace(self, trace) -> List[WindowResult]:
-        """Batched entry point: window ``trace`` columnarly and consume it.
-
-        Accepts either a :class:`repro.traces.schema.Trace` or a
-        :class:`repro.traces.columnar.ColumnarTrace`.  Windows are cut
-        with :func:`repro.sensornet.collector.windows_from_arrays`
-        (array views, no per-reading message objects) using the
-        config's ``window_minutes``; results are bit-identical to
-        windowing via messages and calling :meth:`process_windows`.
-        """
-        from ..traces.windows import window_trace_columnar
-
-        windows = window_trace_columnar(trace, self.config.window_minutes)
-        return [self.process_window(window) for window in windows]
-
-    # -- the fused whole-trace fast path ----------------------------------
+    # -- the fused step -------------------------------------------------------
 
     @property
     def results(self) -> List[WindowResult]:
@@ -391,92 +523,13 @@ class DetectionPipeline:
         """
         return 0 if self.supervisor is None else len(self.supervisor.violations)
 
-    def _vector_filter_bank(self) -> Optional[VectorFilterBank]:
-        """The current filter state as a :class:`VectorFilterBank`.
-
-        ``None`` when the configuration's filter factory is not one of
-        the three stock filters, or when the scalar bank holds per-sensor
-        state the homogeneous vector bank cannot represent (e.g. a
-        checkpoint restored under a different filter configuration) —
-        the fused path then falls back to the per-window oracle.
-        """
-        try:
-            bank = VectorFilterBank.from_prototype(self.filter_bank.factory())
-            bank.load_state_dict(self.filter_bank.state_dict())
-        except (ValueError, TypeError):
-            return None
-        return bank
-
-    def process_trace_fast(self, trace) -> int:
-        """Fused struct-of-arrays variant of :meth:`process_trace`.
-
-        Windows the trace columnarly and consumes it through
-        :meth:`process_windows_fast`; every piece of resulting pipeline
-        state (digest, alarms, filters, tracks, HMMs, supervisor
-        verdicts) is bit-identical to :meth:`process_trace`.  Returns
-        the number of windows consumed; the per-window results are
-        available lazily through :attr:`results`.
-        """
-        from ..traces.windows import window_trace_columnar
-
-        windows = window_trace_columnar(trace, self.config.window_minutes)
-        return self.process_windows_fast(windows)
-
-    def process_windows_fast(self, windows: Sequence[ObservationWindow]) -> int:
-        """Consume many windows through the struct-of-arrays fast path.
-
-        Identical state evolution to calling :meth:`process_window` per
-        window (the oracle), but: per-sensor window means come from one
-        whole-trace grouped ``bincount`` pass, alarm filters advance
-        through a :class:`VectorFilterBank`, track recording goes
-        through ``TrackManager.record_window_batch``, and
-        :class:`WindowResult` construction is deferred (see
-        :attr:`results`).  Falls back to the oracle loop when the filter
-        bank cannot be vectorized (heterogeneous state or a custom
-        factory); windows whose means need the non-finite drop path are
-        sanitized individually.
-        """
-        vector_bank = self._vector_filter_bank()
-        if vector_bank is None:
-            for window in windows:
-                self.process_window(window)
-            return len(windows)
-        stats = _batched_window_means(windows, scratch=self._kernel_scratch)
-        scalar_bank = self.filter_bank
-        self.filter_bank = vector_bank  # live filter state during the run
-        steady: Optional[_SteadyStretch] = None
-        try:
-            # One fp-state save for the whole run; the trusted clusterer
-            # kernels rely on it (huge observations saturate to inf).
-            with np.errstate(over="ignore"):
-                for i, window in enumerate(windows):
-                    stat = stats[i]
-                    if steady is not None:
-                        if self._steady_step(window, stat, i, steady):
-                            continue
-                        self._steady_exit(steady)
-                        steady = None
-                    hint = self._process_window_fast(
-                        window, stat, vector_bank
-                    )
-                    if hint is not None and self.supervisor is None:
-                        steady = self._steady_enter(hint)
-        finally:
-            if steady is not None:
-                self._steady_exit(steady)
-            # Fold the vector state back into the scalar bank so
-            # checkpoints and later per-window calls continue from it.
-            scalar_bank.load_state_dict(vector_bank.state_dict())
-            self.filter_bank = scalar_bank
-        return len(windows)
-
     def _process_window_fast(
         self,
         window: ObservationWindow,
         stat: "Optional[tuple]",
         vector_bank: VectorFilterBank,
     ) -> Optional[int]:
-        """One fused-path window step (mirrors :meth:`process_window`).
+        """One full fused window step (mirrors ``_process_window_reference``).
 
         Returns the unanimous state id when the window qualifies as a
         steady-stretch entry point (see ``_steady_step``), else None.
@@ -522,16 +575,16 @@ class DetectionPipeline:
             if supervisor is not None:
                 supervisor.after_window(self)
             return
-        if self.clusterer is None:
+        if self._clusterer is None:
             if per_sensor is None:
                 per_sensor = {
                     ids_sorted[p]: observations[p] for p in order_first
                 }
             self._bootstrap_clusterer(per_sensor)
-        assert self.clusterer is not None
+        assert self._clusterer is not None
         assert overall_mean is not None
 
-        cluster_update = self.clusterer.update(
+        cluster_update = self._clusterer.update(
             observations,
             overall_mean=overall_mean,
             trusted=trusted,
@@ -542,7 +595,7 @@ class DetectionPipeline:
         # oracle's per_sensor-driven dict (alarm bookkeeping follows it).
         sensor_states = {ids_sorted[p]: assignments[p] for p in order_first}
         identification = identify_window(
-            self.clusterer,
+            self._clusterer,
             # Only len()/truthiness of per_sensor is read when
             # precomputed states are supplied; the assignment dict has
             # the same keys as the per-sensor means.
@@ -552,7 +605,7 @@ class DetectionPipeline:
             observable_state=cluster_update.observable_state,
         )
 
-        raw_alarms = self.alarm_generator.process(window.index, identification)
+        raw_alarms = self._alarm_generator.process(window.index, identification)
         correct = identification.correct_state
         transitions = vector_bank.update_batch(
             window.index,
@@ -585,7 +638,7 @@ class DetectionPipeline:
                 cluster_update,
                 tuple(raw_alarms),
                 tuple(transitions),
-                self.clusterer.n_states,
+                self._clusterer.n_states,
                 frozen,
             )
         )
@@ -654,8 +707,8 @@ class DetectionPipeline:
     # path — certification is a pure go/no-go, never a result.
 
     def _steady_enter(self, state_id: int) -> "_SteadyStretch":
-        assert self.clusterer is not None
-        states = self.clusterer.states
+        assert self._clusterer is not None
+        states = self._clusterer.states
         matrix, ids = states._ensure_cache()
         state = states.get(state_id)
         others = [
@@ -671,8 +724,8 @@ class DetectionPipeline:
         self,
         window: ObservationWindow,
         stat: "Optional[tuple]",
-        i: int,
         ctx: "_SteadyStretch",
+        bank: VectorFilterBank,
     ) -> bool:
         """Process one window inside a certified stretch.
 
@@ -691,12 +744,12 @@ class DetectionPipeline:
             # First certified window pins the stretch's sensor set and
             # decides once whether filter updates can be deferred.
             ctx.steady_ids = ids_sorted
-            ctx.filter_defer = self.filter_bank.quiescent_all_false(stat[1])
+            ctx.filter_defer = bank.quiescent_all_false(stat[1])
         elif ids_sorted != ctx.steady_ids:
             # A different sensor population invalidates the deferred
             # alarm/filter bookkeeping — rejoin the full path.
             return False
-        clusterer = self.clusterer
+        clusterer = self._clusterer
         assert clusterer is not None
         goal = full_mean.tolist()
         c = ctx.c
@@ -799,7 +852,7 @@ class DetectionPipeline:
             if raws is None:
                 raws = ctx.zeros[n] = np.zeros(n, dtype=bool)
             transitions = tuple(
-                self.filter_bank.update_batch(
+                bank.update_batch(
                     window.index, stat[1], raws, assume_sorted=True
                 )
             )
@@ -831,12 +884,12 @@ class DetectionPipeline:
         the Python-evolved centroid, the all-False alarm history runs,
         and the quiescent filter-bank position advances."""
         if ctx.visits:
-            assert self.clusterer is not None
-            self.clusterer.states.apply_steady_motion(
+            assert self._clusterer is not None
+            self._clusterer.states.apply_steady_motion(
                 ctx.sid, ctx.c, ctx.visits
             )
         if ctx.alarm_count and ctx.steady_ids is not None:
-            history = self.alarm_generator.history
+            history = self._alarm_generator.history
             tail = [False] * ctx.alarm_count
             for sensor_id in ctx.steady_ids:
                 series = history.get(sensor_id)
@@ -845,7 +898,8 @@ class DetectionPipeline:
                 else:
                     series.extend(tail)
         if ctx.filter_count:
-            self.filter_bank.advance_quiescent(ctx.filter_count)
+            assert self._vector_bank is not None
+            self._vector_bank.advance_quiescent(ctx.filter_count)
 
     def digest(self) -> str:
         """Content hash of everything the evaluation reads off a run.
@@ -1089,6 +1143,73 @@ def _materialize_result(entry: tuple) -> WindowResult:
     )
 
 
+def _window_stats(
+    window: ObservationWindow, scratch: "Optional[dict]" = None
+) -> "Optional[tuple]":
+    """One window's entry of :func:`_batched_window_means`, standalone.
+
+    Returns exactly the tuple ``_batched_window_means([window])[0]``
+    returns — the same grouped kernels over the same codes and array
+    shapes, so the same floats — without the whole-batch set-up: one
+    window's sorted sensor alphabet and first-occurrence order come from
+    a plain dict over its few ids, and its codes from one
+    ``searchsorted`` instead of two ``np.unique`` sorts.  ``scratch``:
+    see :func:`_batched_window_means`.
+    """
+    if not isinstance(window, ArrayWindow):
+        return None
+    obs = window.observations
+    n_rows = obs.shape[0]
+    if n_rows == 0:
+        return None
+    ids = window.sensor_id_array
+    first_seen = list(dict.fromkeys(ids.tolist()))
+    sensor_ids = sorted(first_seen)
+    id_array = np.array(sensor_ids, dtype=np.int64)
+    n_codes = len(sensor_ids)
+    counts, sums = grouped_sums(
+        np.searchsorted(id_array, ids), obs, n_codes, scratch
+    )
+    means = sums / counts[:, None]
+    if not np.isfinite(means).all():
+        return None
+    rank = {sensor_id: k for k, sensor_id in enumerate(sensor_ids)}
+    order_first = [rank[sensor_id] for sensor_id in first_seen]
+    if obs.shape[1] < 2:
+        return (sensor_ids, id_array, means, order_first, None, None, None)
+    _, overall = grouped_sums(np.zeros(n_rows, dtype=np.intp), obs, 1, None)
+    overall /= n_rows
+    if not np.isfinite(overall).all():
+        return None
+    # The group mean's column sums in Python floats: the same
+    # sequential double adds from 0.0 that ``np.bincount`` performs.
+    sums_g = [0.0] * obs.shape[1]
+    for row in means.tolist():
+        for t, value in enumerate(row):
+            sums_g[t] += value
+    group_mean = np.array([[value / n_codes for value in sums_g]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sdiff = means - group_mean
+        odiff = overall - group_mean
+        # sqrt is monotone, so the max of the roots is the root of the
+        # max (NaN propagating through np.maximum either way).
+        spread = np.sqrt(
+            np.maximum(
+                np.einsum("nd,nd->n", sdiff, sdiff).max(),
+                np.einsum("nd,nd->n", odiff, odiff)[0],
+            )
+        )
+    return (
+        sensor_ids,
+        id_array,
+        means,
+        order_first,
+        overall[0],
+        group_mean[0],
+        float(spread),
+    )
+
+
 def _batched_window_means(
     windows: Sequence[ObservationWindow],
     scratch: "Optional[dict]" = None,
@@ -1118,8 +1239,6 @@ def _batched_window_means(
     call; callers that interleave multiple engines must each own their
     dict (never share one across instances).
     """
-    from ..sensornet.collector import ArrayWindow
-
     stats: List[Optional[tuple]] = [None] * len(windows)
     keep = [
         i

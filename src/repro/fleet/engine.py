@@ -308,7 +308,7 @@ class FleetEngine:
         probe = self._restore_blob(record.checkpoint)
         for window in span:
             try:
-                probe.process_windows_fast([window])
+                probe.process_window(window)
             except Exception as replayed:
                 exc = replayed
                 window_index = getattr(window, "index", None)
@@ -354,7 +354,7 @@ class FleetEngine:
             pre = self._dump(pipeline)
             baseline = pipeline.supervisor_violations
             try:
-                pipeline.process_windows_fast([window])
+                pipeline.process_window(window)
             except Exception as exc:
                 self.pipelines[tid] = self._restore_blob(pre)
                 record.skipped_windows += 1

@@ -2,8 +2,8 @@
 
 The pipeline's per-sensor alarms answer *"is sensor j misbehaving?"*;
 this module answers the meta-question *"can the pipeline still be
-trusted to answer that?"*.  Two mechanisms, both driven from
-:meth:`DetectionPipeline.process_window`:
+trusted to answer that?"*.  Two mechanisms, both driven from every
+window step of :class:`DetectionPipeline` (fused or oracle):
 
 **Invariant supervision.**  After every window the registry of
 :mod:`~repro.resilience.invariants` is checked against the live state.

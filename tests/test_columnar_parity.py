@@ -326,13 +326,19 @@ class TestPipelineParity:
         for window in window_trace(
             object_trace, pipeline_config.window_minutes
         ):
-            object_pipeline.process_window(window)
+            object_pipeline._process_window_reference(window)
 
         trace_pipeline = DetectionPipeline(pipeline_config)
-        trace_pipeline.process_trace(object_trace)
+        for window in window_trace_columnar(
+            object_trace, pipeline_config.window_minutes
+        ):
+            trace_pipeline.process_window(window)
 
         columnar_pipeline = DetectionPipeline(pipeline_config)
-        columnar_pipeline.process_trace(columnar_trace)
+        for window in window_trace_columnar(
+            columnar_trace, pipeline_config.window_minutes
+        ):
+            columnar_pipeline.process_window(window)
 
         assert object_pipeline.n_windows == columnar_pipeline.n_windows
         assert (

@@ -84,10 +84,11 @@ class TestWindowProcessing:
 
     def test_process_windows_batch(self):
         pipeline = DetectionPipeline()
-        results = pipeline.process_windows(
+        consumed = pipeline.process_windows_fast(
             [window(i, healthy_readings()) for i in range(1, 6)]
         )
-        assert len(results) == 5
+        assert consumed == 5
+        assert len(pipeline.results) == 5
 
 
 class TestTrackingFlow:

@@ -1,10 +1,11 @@
 """Fused engine vs per-window oracle: bit-identical or the test fails.
 
-The struct-of-arrays fast path (``process_windows_fast`` /
-``process_trace_fast``) only earns its speedup if it is *exactly* the
-per-window pipeline — same digests, same checkpoint snapshots, same
-``WindowResult`` stream, under every alarm-filter kind and supervisor
-mode.  Every assertion here is exact ``==`` (no tolerances): the fused
+The struct-of-arrays batch path (``process_windows_fast``) only earns
+its speedup if it is *exactly* the per-window oracle
+(``_process_window_reference``) — same digests, same checkpoint
+snapshots, same ``WindowResult`` stream, under every alarm-filter kind
+and supervisor mode (``tests/test_stream_parity.py`` does the same for
+the streamed ``process_window``).  Every assertion here is exact ``==`` (no tolerances): the fused
 engine's certified shortcuts (vector filter banks, incremental
 clustering caches, steady-stretch certification) are go/no-go caches
 that must never change a single bit of output.
@@ -26,7 +27,11 @@ from repro.core.filtering import (
     VectorFilterBank,
 )
 from repro.sensornet.collector import windows_from_arrays
-from repro.traces import GDITraceConfig, generate_gdi_trace_columnar
+from repro.traces import (
+    GDITraceConfig,
+    generate_gdi_trace_columnar,
+    window_trace_columnar,
+)
 
 FILTER_KINDS = ("k_of_n", "sprt", "cusum")
 SUPERVISOR_MODES = ("off", "warn", "repair")
@@ -40,7 +45,7 @@ def assert_engines_identical(config: PipelineConfig, windows) -> None:
     """Run both engines over ``windows``; demand exact equality."""
     oracle = DetectionPipeline(config)
     fused = DetectionPipeline(config)
-    oracle_results = oracle.process_windows(windows)
+    oracle_results = [oracle._process_window_reference(w) for w in windows]
     fused.process_windows_fast(windows)
     fused_results = fused.results
     assert oracle.digest() == fused.digest()
@@ -95,16 +100,8 @@ class TestTraceParity:
     def test_gdi_trace(self, kind, mode):
         trace = generate_gdi_trace_columnar(GDITraceConfig(n_days=2, seed=11))
         config = PipelineConfig(filter_kind=kind, supervisor_mode=mode)
-        oracle = DetectionPipeline(config)
-        fused = DetectionPipeline(config)
-        oracle_results = oracle.process_trace(trace)
-        fused.process_trace_fast(trace)
-        fused_results = fused.results
-        assert oracle.digest() == fused.digest()
-        assert snapshot_json(oracle) == snapshot_json(fused)
-        assert len(oracle_results) == len(fused_results)
-        for ours, theirs in zip(oracle_results, fused_results):
-            assert ours == theirs
+        windows = window_trace_columnar(trace, config.window_minutes)
+        assert_engines_identical(config, windows)
 
 
 class TestSyntheticEdgeCases:
@@ -138,7 +135,8 @@ class TestSyntheticEdgeCases:
         half = len(windows) // 2
         config = PipelineConfig()
         oracle = DetectionPipeline(config)
-        oracle.process_windows(windows)
+        for window in windows:
+            oracle._process_window_reference(window)
 
         fused = DetectionPipeline(config)
         fused.process_windows_fast(windows[:half])

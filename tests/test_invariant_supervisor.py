@@ -17,6 +17,7 @@ from repro.resilience.invariants import (
 from repro.resilience.supervisor import PipelineSupervisor
 from repro.sensornet import ObservationWindow, SensorMessage
 from repro.traces.schema import Trace, TraceRecord
+from repro.traces.windows import window_trace_columnar
 
 
 def window(index, readings, minutes_per_window=60.0):
@@ -407,7 +408,12 @@ class TestDegenerateWindowsEndToEnd:
     def test_process_trace_handles_gap_and_single_sensor(self, mode):
         config = PipelineConfig(supervisor_mode=mode)
         pipeline = DetectionPipeline(config)
-        results = pipeline.process_trace(self.trace_with_gaps())
+        results = [
+            pipeline.process_window(window)
+            for window in window_trace_columnar(
+                self.trace_with_gaps(), config.window_minutes
+            )
+        ]
         assert len(results) == 6
         assert results[1].skipped  # the empty window
         assert not results[2].skipped  # the single-sensor window

@@ -4,7 +4,7 @@
 traces columnarly and detect through the fused
 ``process_windows_fast``.  The oracle for both is the object path —
 ``generate_gdi_trace`` + ``window_trace_by_samples`` + one
-``process_window`` call per window — and every assertion here is exact
+``_process_window_reference`` call per window — and every assertion here is exact
 ``==``: the product paths must not move a single digest, verdict or
 cached byte relative to it.
 """
@@ -114,7 +114,7 @@ def oracle_pipeline(
     for window in window_trace_by_samples(
         trace, config.window_samples, config.sample_period_minutes
     ):
-        pipeline.process_window(window)
+        pipeline._process_window_reference(window)
     return trace, pipeline
 
 

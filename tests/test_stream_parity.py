@@ -1,0 +1,380 @@
+"""Streaming ``process_window`` vs the per-window oracle: exact or fail.
+
+``process_window`` runs the fused engine one window at a time, keeping
+its vector filter bank and any certified steady stretch live across
+calls and folding them back (``_sync``) before anything reads pipeline
+state.  These tests pin that step to the oracle
+``_process_window_reference`` with exact ``==`` on digests, JSON
+snapshots and per-window results: round-robin deployments, reads and
+checkpoints taken mid-stretch, supervised modes, the oracle fallback of
+a custom filter factory, the slow lane of message-backed and non-finite
+windows, and the one-window stats kernel itself.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from repro import DetectionPipeline, PipelineConfig
+from repro.core.filtering import FilterBank, KOfNFilter
+from repro.core.pipeline import _batched_window_means, _window_stats
+from repro.faults.attacks import (
+    DynamicCreationAttack,
+    DynamicDeletionAttack,
+    MixedAttack,
+)
+from repro.faults.base import ActivationSchedule
+from repro.faults.campaign import CampaignSpec
+from repro.faults.errors import (
+    AdditiveFault,
+    CalibrationFault,
+    DriftFault,
+    PacketDropper,
+    StuckAtFault,
+)
+from repro.resilience.fuzz import PATHOLOGY_KINDS, pathological_window
+from repro.sensornet.collector import ArrayWindow, windows_from_arrays
+from repro.traces import (
+    GDITraceConfig,
+    generate_gdi_trace_columnar,
+    window_trace_columnar,
+)
+from repro.traces.gdi import build_environment
+
+#: Day 2 onset: every plan is active for most of a 7-day deployment.
+ONSET = ActivationSchedule(start_minutes=2 * 24 * 60.0)
+
+ATTACKERS = [1, 5, 8]
+
+
+def _plan(kind: str, seed: int):
+    """The eight deployment plans of the stream benchmark (None = clean)."""
+    sensor = seed % 10
+    corruptors = {
+        "stuck_at": (
+            PacketDropper(
+                inner=StuckAtFault(value=(15.0, 1.0)),
+                drop_probability=0.5,
+                seed=seed,
+            ),
+            [sensor],
+        ),
+        "calibration": (CalibrationFault(gains=(1.0 / 1.24, 1.16)), [sensor]),
+        "additive": (AdditiveFault(offsets=(6.0, 12.0)), [sensor]),
+        "drift": (
+            DriftFault(terminal=(15.0, 1.0), ramp_minutes=24 * 60.0),
+            [sensor],
+        ),
+        "deletion": (DynamicDeletionAttack(), ATTACKERS),
+        "creation": (DynamicCreationAttack(trigger=(12.0, 94.0)), ATTACKERS),
+        "mixed": (MixedAttack(), ATTACKERS),
+    }
+    if kind == "none":
+        return None
+    corruptor, sensors = corruptors[kind]
+    plan = CampaignSpec(name=kind)
+    plan.plant(corruptor, sensors, ONSET)
+    return plan
+
+
+PLAN_KINDS = (
+    "none",
+    "stuck_at",
+    "calibration",
+    "additive",
+    "drift",
+    "deletion",
+    "creation",
+    "mixed",
+)
+
+
+def deployment_windows(kind: str, seed: int, n_days: int = 7):
+    trace_config = GDITraceConfig(n_days=n_days, seed=seed)
+    plan = _plan(kind, seed)
+    injector = (
+        plan.build_injector(build_environment(trace_config)) if plan else None
+    )
+    trace = generate_gdi_trace_columnar(trace_config, corruption=injector)
+    return window_trace_columnar(trace, PipelineConfig().window_minutes)
+
+
+def snapshot_json(pipeline: DetectionPipeline) -> str:
+    return json.dumps(pipeline.snapshot(), sort_keys=True, default=str)
+
+
+def run_oracle(config: PipelineConfig, windows):
+    oracle = DetectionPipeline(config)
+    results = [oracle._process_window_reference(w) for w in windows]
+    return oracle, results
+
+
+def assert_identical(ours, our_results, oracle, oracle_results) -> None:
+    assert ours.digest() == oracle.digest()
+    assert snapshot_json(ours) == snapshot_json(oracle)
+    assert len(our_results) == len(oracle_results)
+    for mine, theirs in zip(our_results, oracle_results):
+        assert mine == theirs
+
+
+def hostile_windows(n_attributes: int = 2, seed: int = 0, n_windows: int = 240):
+    """Level jumps, sensor dropouts and empty windows (array-backed)."""
+    rng = np.random.default_rng(seed)
+    ts, sids, vals = [], [], []
+    for index in range(1, n_windows + 1):
+        if index % 57 == 0:
+            continue  # an empty window mid-trace
+        level = 20.0 + 15.0 * ((index // 30) % 3)
+        base = np.array([level, 70.0 - level / 2.0, level / 10.0])[:n_attributes]
+        for sensor in range(8):
+            if (index + sensor) % 41 == 0:
+                continue  # sensor dropout: population changes
+            for sample in range(3):
+                ts.append((index - 1) * 60.0 + 1.0 + sensor * 1e-3 + sample)
+                sids.append(sensor)
+                vals.append(base + rng.normal(0.0, 0.3, n_attributes))
+    ts_arr = np.asarray(ts, dtype=float)
+    sid_arr = np.asarray(sids)
+    val_arr = np.asarray(vals, dtype=float)
+    order = np.lexsort((sid_arr, ts_arr))
+    return windows_from_arrays(ts_arr[order], sid_arr[order], val_arr[order], 60.0)
+
+
+def as_array_window(window) -> ArrayWindow:
+    """The same readings as an array-backed window."""
+    return ArrayWindow(
+        index=window.index,
+        start_minutes=window.start_minutes,
+        end_minutes=window.end_minutes,
+        observations=np.asarray(window.observations, dtype=float),
+        sensor_id_array=np.asarray(window.sensor_ids, dtype=np.int64),
+        n_attributes=window.n_attributes,
+    )
+
+
+def fuzz_corpus(n_windows: int = 120, seed: int = 3):
+    rng = np.random.default_rng(seed)
+    kinds = list(PATHOLOGY_KINDS)
+    return [
+        pathological_window(index, kinds[index % len(kinds)], rng)
+        for index in range(1, n_windows + 1)
+    ]
+
+
+def stream_with_reads(pipeline: DetectionPipeline, windows, read) -> tuple:
+    """Stream ``windows``; call ``read`` at some windows inside a stretch.
+
+    Returns the per-window results and how many reads hit an open
+    steady stretch (so a test can prove it exercised that case).
+    """
+    results = []
+    reads = 0
+    for position, window in enumerate(windows):
+        results.append(pipeline.process_window(window))
+        if pipeline._steady is not None and position % 7 == 0:
+            read(pipeline)
+            reads += 1
+    return results, reads
+
+
+class TestRoundRobinDeployments:
+    def test_eight_plans_round_robin(self):
+        # (a) eight 7-day deployments, one per bench plan, arriving
+        # interleaved the way the on-the-fly collector delivers them.
+        deployments = [
+            deployment_windows(kind, seed=20 + index)
+            for index, kind in enumerate(PLAN_KINDS)
+        ]
+        config = PipelineConfig()
+        streams = [DetectionPipeline(config) for _ in deployments]
+        stream_results = [[] for _ in deployments]
+        stretched = 0
+        for position in range(max(len(w) for w in deployments)):
+            for index, windows in enumerate(deployments):
+                if position < len(windows):
+                    pipeline = streams[index]
+                    stream_results[index].append(
+                        pipeline.process_window(windows[position])
+                    )
+                    stretched += pipeline._steady is not None
+        assert stretched > 0  # stretches stayed open across calls
+        for index, windows in enumerate(deployments):
+            oracle, oracle_results = run_oracle(config, windows)
+            assert_identical(
+                streams[index], stream_results[index], oracle, oracle_results
+            )
+
+    @pytest.mark.parametrize("kind", ("k_of_n", "sprt", "cusum"))
+    def test_filter_kinds(self, kind):
+        windows = deployment_windows("stuck_at", seed=5, n_days=3)
+        config = PipelineConfig(filter_kind=kind)
+        stream = DetectionPipeline(config)
+        results = [stream.process_window(w) for w in windows]
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(stream, results, oracle, oracle_results)
+
+
+class TestReadsMidStretch:
+    @pytest.mark.parametrize(
+        "read",
+        (
+            lambda p: p.digest(),
+            lambda p: p.diagnose_all(),
+            lambda p: p.snapshot(),
+            lambda p: p.filter_bank.active_sensors(),
+        ),
+        ids=("digest", "diagnose_all", "snapshot", "filter_bank"),
+    )
+    def test_read_does_not_change_the_run(self, read):
+        # (b) reads taken inside an open stretch: the run continues
+        # exactly as if nobody had looked.
+        windows = deployment_windows("calibration", seed=31)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        results, reads = stream_with_reads(pipeline, windows, read)
+        assert reads > 0
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_state_readers_fold_the_stretch(self):
+        # Readers of deferred state end the open stretch; the scalar
+        # filter bank accessor also folds and drops the vector bank.
+        windows = iter(deployment_windows("none", seed=34, n_days=3))
+        pipeline = DetectionPipeline()
+        for read in (
+            lambda p: p.digest(),
+            lambda p: p.snapshot(),
+            lambda p: p.state_vectors(),
+            lambda p: p.clusterer,
+            lambda p: p.alarm_generator,
+        ):
+            for window in windows:
+                pipeline.process_window(window)
+                if pipeline._steady is not None:
+                    break
+            assert pipeline._steady is not None
+            read(pipeline)
+            assert pipeline._steady is None
+        assert pipeline._vector_bank is not None
+        pipeline.filter_bank
+        assert pipeline._vector_bank is None
+
+    def test_restore_mid_stretch_continues_identically(self):
+        # (c) a checkpoint taken inside a stretch resumes bit-exactly.
+        windows = deployment_windows("deletion", seed=32)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        split = None
+        for position, window in enumerate(windows):
+            pipeline.process_window(window)
+            if pipeline._steady is not None and position >= len(windows) // 3:
+                split = position + 1
+                break
+        assert split is not None
+        resumed = DetectionPipeline.restore(
+            json.loads(snapshot_json(pipeline)), config=config
+        )
+        tail = [resumed.process_window(w) for w in windows[split:]]
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(resumed, tail, oracle, oracle_results[split:])
+
+
+class TestSupervisedAndFallback:
+    @pytest.mark.parametrize("mode", ("warn", "repair"))
+    def test_supervisor_modes(self, mode):
+        # (d) supervised pipelines stream through the fused step too.
+        config = PipelineConfig(supervisor_mode=mode)
+        for windows in (hostile_windows(), deployment_windows("mixed", 33, 3)):
+            stream = DetectionPipeline(config)
+            results = [stream.process_window(w) for w in windows]
+            oracle, oracle_results = run_oracle(config, windows)
+            assert_identical(stream, results, oracle, oracle_results)
+
+    def test_custom_filter_factory_takes_the_oracle(self):
+        # (e) a filter the vector bank cannot mirror (a subclass may
+        # override ``update``): every window runs the oracle, and no
+        # live vector bank is ever built.
+        class Sticky(KOfNFilter):
+            pass
+
+        windows = hostile_windows(seed=4)
+        stream = DetectionPipeline()
+        oracle = DetectionPipeline()
+        stream.filter_bank = FilterBank(factory=lambda: Sticky(k=2, n=3))
+        oracle.filter_bank = FilterBank(factory=lambda: Sticky(k=2, n=3))
+        results = [stream.process_window(w) for w in windows]
+        assert stream._scalar_only and stream._vector_bank is None
+        oracle_results = [oracle._process_window_reference(w) for w in windows]
+        assert_identical(stream, results, oracle, oracle_results)
+
+    def test_message_and_non_finite_windows_take_the_slow_lane(self):
+        # (f) message-backed windows never get fused stats; array
+        # windows holding a non-finite mean neither.  Both still stream
+        # exactly like the oracle, supervised or not.
+        corpus = fuzz_corpus()
+        assert all(_window_stats(w) is None for w in corpus)
+        non_finite = [
+            as_array_window(w)
+            for w in corpus
+            if w.observations.size and not np.isfinite(w.observations).all()
+        ]
+        assert non_finite
+        assert all(_window_stats(w) is None for w in non_finite)
+        mixed = [
+            as_array_window(w) if position % 2 else w
+            for position, w in enumerate(corpus)
+        ]
+        for mode in ("off", "repair"):
+            config = PipelineConfig(supervisor_mode=mode)
+            for windows in (corpus, mixed):
+                stream = DetectionPipeline(config)
+                results = [stream.process_window(w) for w in windows]
+                oracle, oracle_results = run_oracle(config, windows)
+                assert_identical(stream, results, oracle, oracle_results)
+
+
+def assert_same_stats(ours, theirs) -> None:
+    if theirs is None:
+        assert ours is None
+        return
+    assert ours is not None and len(ours) == len(theirs)
+    for mine, reference in zip(ours, theirs):
+        if isinstance(reference, np.ndarray):
+            assert isinstance(mine, np.ndarray)
+            assert mine.dtype == reference.dtype
+            assert mine.shape == reference.shape
+            assert np.array_equal(mine, reference, equal_nan=True)
+        elif isinstance(reference, float) and math.isnan(reference):
+            assert isinstance(mine, float) and math.isnan(mine)
+        else:
+            assert mine == reference and type(mine) is type(reference)
+
+
+class TestWindowStatsKernel:
+    def test_fuzz_corpus(self):
+        # (g) field by field, on every pathology (as array windows).
+        corpus = [as_array_window(w) for w in fuzz_corpus(n_windows=180)]
+        for window in corpus:
+            assert_same_stats(
+                _window_stats(window), _batched_window_means([window])[0]
+            )
+
+    @pytest.mark.parametrize("n_attributes", (1, 2, 3))
+    def test_trace_windows(self, n_attributes):
+        windows = hostile_windows(n_attributes=n_attributes, seed=9)
+        batched = _batched_window_means(windows)
+        for window, stat in zip(windows, batched):
+            assert_same_stats(_window_stats(window), stat)
+            assert_same_stats(_window_stats(window), _batched_window_means([window])[0])
+
+    def test_single_attribute_streams_like_the_oracle(self):
+        windows = hostile_windows(n_attributes=1, seed=3)
+        config = PipelineConfig()
+        stream = DetectionPipeline(config)
+        results = [stream.process_window(w) for w in windows]
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(stream, results, oracle, oracle_results)
