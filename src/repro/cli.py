@@ -9,16 +9,12 @@ Usage (also available as ``python -m repro``)::
     python -m repro scenario clean --checkpoint state.json
     python -m repro sweep a1
     python -m repro chaos --days 7 --crash-at 40 --crash-at 90
-    python -m repro chaos --fleet --tenants 8 --poisoned 2 --fleet-seed 1
-    python -m repro chaos --fleet --solo-reference --tenants 8 --poisoned 2
-    python -m repro fleet-soak --seeds 5 --tenants 8 --poisoned 3
     python -m repro campaign clean stuck_at calibration --jobs 4
     python -m repro campaign clean stuck_at --journal runs/j1 --task-timeout 120
     python -m repro campaign clean stuck_at --jobs 2 --chaos-kill-prob 0.2
     python -m repro parity --days 3 --seed 7
     python -m repro fuzz --seeds 100
     python -m repro fuzz --seeds 5 --soak
-    python -m repro fuzz --fleet --tenants 6 --poisoned 2
 
 ``reproduce`` regenerates one paper table/figure and prints its ASCII
 rendering; ``scenario`` runs one standard corruption scenario and prints
@@ -26,15 +22,8 @@ the per-sensor diagnoses (``--checkpoint`` also writes a restorable
 pipeline checkpoint); ``sweep`` runs one ablation study; ``chaos`` runs
 an infrastructure chaos campaign (bursty loss, delay/reordering,
 duplication, clock skew, collector crash + checkpoint restart) and
-prints the degradation report (``--fleet`` instead poisons K of N
-tenants of a fault-isolating :class:`~repro.fleet.FleetEngine`
-with seeded NaN/Inf bursts, exploding values, malformed shapes, and
-forced kernel exceptions, asserting survivors stay bit-identical to
-solo runs; ``--solo-reference`` prints the clean tenants' independent
-solo digests in the same line format for external diffing);
-``fleet-soak`` repeats the fleet poisoning across many seeds and kind
-mixes; ``campaign`` fans several scenarios out
-across the fault-tolerant worker runtime (per-task retries with
+prints the degradation report; ``campaign`` fans several scenarios
+out across the fault-tolerant worker runtime (per-task retries with
 backoff, deadlines via ``--task-timeout``, worker-crash recovery,
 poison-spec quarantine — exits non-zero if any spec was quarantined —
 and a durable resume journal via ``--journal``; the ``--chaos-*``
@@ -177,35 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SENSOR:MINUTES",
         help="give one mote a skewed clock, e.g. --skew 2:-90 (repeatable)",
     )
-    chaos.add_argument(
-        "--fleet",
-        action="store_true",
-        help="fleet mode: poison K of N tenants of a fault-isolating "
-        "fleet engine instead of attacking the infrastructure",
-    )
-    _add_fleet_poison_args(chaos)
-    chaos.add_argument(
-        "--fleet-seed",
-        type=int,
-        default=0,
-        help="seed for victim selection, kinds, and burst placement",
-    )
-    chaos.add_argument(
-        "--solo-reference",
-        action="store_true",
-        help="with --fleet: print only the clean tenants' independent "
-        "solo digests (the oracle the fleet run is diffed against)",
-    )
-
-    fleet_soak = sub.add_parser(
-        "fleet-soak",
-        help="multi-seed fleet poisoning soak across all poison kinds",
-    )
-    fleet_soak.add_argument(
-        "--seeds", type=int, default=5, help="independent soak seeds to run"
-    )
-    fleet_soak.add_argument("--base-seed", type=int, default=0)
-    _add_fleet_poison_args(fleet_soak)
 
     campaign = sub.add_parser(
         "campaign", help="run several scenarios across worker processes"
@@ -325,25 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="warn",
         help="supervisor mode under test",
     )
-    fuzz.add_argument(
-        "--fleet",
-        action="store_true",
-        help="drive an N-tenant fault-isolating fleet through the "
-        "pathology kinds; non-poisoned tenants must stay "
-        "digest-identical to solo runs",
-    )
-    fuzz.add_argument(
-        "--tenants",
-        type=int,
-        default=6,
-        help="fleet size for --fleet (default 6)",
-    )
-    fuzz.add_argument(
-        "--poisoned",
-        type=int,
-        default=2,
-        help="tenants fed pathological streams with --fleet (default 2)",
-    )
 
     parity = sub.add_parser(
         "parity",
@@ -354,72 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     parity.add_argument("--seed", type=int, default=7)
 
     return parser
-
-
-def _add_fleet_poison_args(parser: argparse.ArgumentParser) -> None:
-    """Shared poison-plan knobs for ``chaos --fleet`` and ``fleet-soak``."""
-    parser.add_argument(
-        "--tenants", type=int, default=8, help="fleet size N (default 8)"
-    )
-    parser.add_argument(
-        "--poisoned",
-        type=int,
-        default=2,
-        help="tenants K poisoned per run (default 2)",
-    )
-    parser.add_argument(
-        "--kinds",
-        default=None,
-        metavar="KIND,KIND,...",
-        help="poison kinds to draw from (default: all of nan_burst, "
-        "inf_burst, exploding, malformed, exception)",
-    )
-    parser.add_argument(
-        "--fleet-windows",
-        type=int,
-        default=240,
-        help="windows per tenant (default 240)",
-    )
-    parser.add_argument(
-        "--burst",
-        type=int,
-        default=5,
-        help="consecutive poisoned windows per victim (default 5)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=64,
-        help="epoch length / checkpoint cadence in windows (default 64)",
-    )
-    parser.add_argument(
-        "--probation",
-        type=int,
-        default=12,
-        help="consecutive clean windows before re-admission (default 12)",
-    )
-    parser.add_argument(
-        "--max-recoveries",
-        type=int,
-        default=2,
-        help="quarantine/restore cycles per tenant before it is parked "
-        "permanently (default 2)",
-    )
-
-
-def _parse_kinds(text: Optional[str]) -> "tuple[str, ...]":
-    from .resilience.fleet_chaos import POISON_KINDS
-
-    if text is None:
-        return POISON_KINDS
-    kinds = tuple(part.strip() for part in text.split(",") if part.strip())
-    unknown = set(kinds) - set(POISON_KINDS)
-    if not kinds or unknown:
-        raise SystemExit(
-            f"--kinds expects a comma list from {list(POISON_KINDS)}, "
-            f"got {text!r}"
-        )
-    return kinds
 
 
 def _cmd_list() -> str:
@@ -501,21 +376,6 @@ def _cmd_chaos(args: argparse.Namespace) -> "tuple[str, int]":
     from .resilience.chaos import ChaosSpec, run_chaos
     from .sensornet.network import GilbertElliottLoss
 
-    if args.fleet:
-        from .resilience.fleet_chaos import fleet_chaos_command
-
-        return fleet_chaos_command(
-            n_tenants=args.tenants,
-            n_poisoned=args.poisoned,
-            kinds=_parse_kinds(args.kinds),
-            seed=args.fleet_seed,
-            n_windows=args.fleet_windows,
-            burst=args.burst,
-            checkpoint_interval=args.checkpoint_interval,
-            probation=args.probation,
-            max_recoveries=args.max_recoveries,
-            solo_reference=args.solo_reference,
-        )
     spec = ChaosSpec(
         n_days=args.days,
         seed=args.seed,
@@ -531,23 +391,6 @@ def _cmd_chaos(args: argparse.Namespace) -> "tuple[str, int]":
     )
     report, _ = run_chaos(spec)
     return report.render(), 0
-
-
-def _cmd_fleet_soak(args: argparse.Namespace) -> "tuple[str, int]":
-    from .resilience.fleet_chaos import fleet_soak_command
-
-    return fleet_soak_command(
-        n_seeds=args.seeds,
-        base_seed=args.base_seed,
-        n_tenants=args.tenants,
-        n_poisoned=args.poisoned,
-        kinds=_parse_kinds(args.kinds),
-        n_windows=args.fleet_windows,
-        burst=args.burst,
-        checkpoint_interval=args.checkpoint_interval,
-        probation=args.probation,
-        max_recoveries=args.max_recoveries,
-    )
 
 
 def _cmd_campaign(args: argparse.Namespace) -> "tuple[str, int]":
@@ -713,9 +556,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> "tuple[str, int]":
         soak=args.soak,
         base_seed=args.base_seed,
         mode=args.mode,
-        fleet=args.fleet,
-        tenants=args.tenants,
-        poisoned=args.poisoned,
     )
 
 
@@ -748,10 +588,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_cmd_sweep(args.id))
     elif args.command == "chaos":
         text, code = _cmd_chaos(args)
-        print(text)
-        return code
-    elif args.command == "fleet-soak":
-        text, code = _cmd_fleet_soak(args)
         print(text)
         return code
     elif args.command == "campaign":

@@ -23,7 +23,7 @@ FILTER_KINDS = ("k_of_n", "sprt", "cusum")
 #: Supported runtime invariant-supervisor modes.
 SUPERVISOR_MODES = ("off", "warn", "repair", "raise")
 
-#: Fields older releases wrote into checkpoints and fleet state dicts;
+#: Fields older releases wrote into pipeline checkpoints;
 #: :meth:`PipelineConfig.from_json_dict` drops them so those payloads
 #: still restore.
 LEGACY_FIELDS = ("backend", "n_jobs")

@@ -221,8 +221,10 @@ class OnlineStateClusterer:
             # through the Eq. 6 convex update; reject the window outright.
             raise ValueError("observations contain non-finite values")
         # One fp-state save covers every distance kernel of the pass
-        # (huge-magnitude observations legitimately saturate to inf).
-        with np.errstate(over="ignore"):
+        # (huge-magnitude observations legitimately saturate to inf; a
+        # saturated centroid's self-distance is inf - inf = NaN on the
+        # pair-matrix diagonal, which the closest-pair scan masks).
+        with np.errstate(over="ignore", invalid="ignore"):
             return self._update_inner(observations, overall_mean, False, full_mean)
 
     def _update_inner(

@@ -513,16 +513,6 @@ class DetectionPipeline:
             )
         return self._results
 
-    @property
-    def supervisor_violations(self) -> int:
-        """Number of invariant violations recorded by the supervisor.
-
-        0 when the pipeline runs unsupervised.  The fleet driver
-        compares it before and after each epoch to mark a tenant whose
-        repair-mode supervisor fired as degraded.
-        """
-        return 0 if self.supervisor is None else len(self.supervisor.violations)
-
     def _process_window_fast(
         self,
         window: ObservationWindow,

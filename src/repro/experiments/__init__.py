@@ -45,7 +45,6 @@ from .runner import (
     run_fleet,
     run_pipeline,
     run_scenario,
-    run_scenarios_parallel,
     summarize_run,
 )
 from .scenarios import (
@@ -144,7 +143,6 @@ __all__ = [
     "run_fleet",
     "run_pipeline",
     "run_scenario",
-    "run_scenarios_parallel",
     "stuck_at_scenario",
     "summarize_run",
     "table1",

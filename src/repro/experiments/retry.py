@@ -15,6 +15,7 @@ its spec's own seed).
 from __future__ import annotations
 
 import hashlib
+import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,6 +101,19 @@ class TaskError:
     kind: str
     message: str
     traceback_text: str = ""
+
+    @classmethod
+    def from_exception(
+        cls, exc: BaseException, kind: str = "exception"
+    ) -> "TaskError":
+        """Record a caught exception: its type, message and traceback."""
+        return cls(
+            kind=kind,
+            message=f"{type(exc).__name__}: {exc}",
+            traceback_text="".join(
+                traceback.format_exception(type(exc), exc, exc.__traceback__)
+            ),
+        )
 
     def describe(self) -> str:
         """One-block description for journals and quarantine reports."""

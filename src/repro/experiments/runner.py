@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 import time
-import traceback
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -108,26 +107,20 @@ def run_pipeline(
 def run_fleet(
     windows_per_tenant: Sequence[Sequence[ObservationWindow]],
     configs: Optional[Sequence[Optional[PipelineConfig]]] = None,
-    *,
-    checkpoint_interval: int = 256,
-    probation: int = 16,
-    max_recoveries: int = 2,
-) -> List[DetectionPipeline]:
-    """Advance many independent deployments through one fleet driver.
+) -> List[Union[DetectionPipeline, TaskError]]:
+    """Run many independent deployments, one fused pipeline each.
 
     ``windows_per_tenant[i]`` is deployment ``i``'s window list (lengths
     may differ); ``configs[i]`` is its pipeline configuration (``None``
-    entries — or ``configs=None`` — mean a default config).  Returns one
-    pipeline per deployment.  Each runs through its own
-    ``process_windows_fast`` under the fault-isolating
-    :class:`~repro.fleet.FleetEngine`: a tenant that raises is rolled
-    back, quarantined and given bounded recovery, while every other
-    tenant ends bit-identical to a per-deployment
-    ``process_windows_fast`` loop (DESIGN.md §13).  The isolation knobs
-    mirror that engine's constructor.
+    entries — or ``configs=None`` — mean a default config).  Deployments
+    share no state (DESIGN.md §13), so each gets a fresh pipeline and one
+    ``process_windows_fast`` call, and its result is bit-identical to
+    that solo run.  A deployment whose call raises is quarantined the way
+    :func:`run_campaign` quarantines a poison spec: its slot holds the
+    :class:`~repro.experiments.retry.TaskError` instead of a pipeline,
+    and no other deployment is touched.  ``KeyboardInterrupt``
+    propagates.
     """
-    from ..fleet import FleetEngine
-
     if configs is None:
         configs = [None] * len(windows_per_tenant)
     if len(configs) != len(windows_per_tenant):
@@ -135,14 +128,16 @@ def run_fleet(
             f"got {len(configs)} configs for "
             f"{len(windows_per_tenant)} window lists"
         )
-    engine = FleetEngine.from_pipelines(
-        [DetectionPipeline(config or PipelineConfig()) for config in configs],
-        checkpoint_interval=checkpoint_interval,
-        probation=probation,
-        max_recoveries=max_recoveries,
-    )
-    engine.process_windows(windows_per_tenant)
-    return engine.to_pipelines()
+    tenants: List[Union[DetectionPipeline, TaskError]] = []
+    for windows, config in zip(windows_per_tenant, configs):
+        pipeline = DetectionPipeline(config or PipelineConfig())
+        try:
+            pipeline.process_windows_fast(windows)
+        except Exception as exc:
+            tenants.append(TaskError.from_exception(exc))
+        else:
+            tenants.append(pipeline)
+    return tenants
 
 
 @dataclass
@@ -622,11 +617,7 @@ def _run_scenario_task(
             if isinstance(exc, SimulatedWorkerCrash)
             else "exception"
         )
-        return TaskError(
-            kind=kind,
-            message=f"{type(exc).__name__}: {exc}",
-            traceback_text=traceback.format_exc(),
-        )
+        return TaskError.from_exception(exc, kind)
 
 
 def _spec_fields(spec: ScenarioSpec) -> Dict[str, object]:
@@ -814,14 +805,7 @@ def _execute_pool(
             )
             return True
         except Exception as exc:
-            fail(
-                task,
-                TaskError(
-                    kind="exception",
-                    message=f"{type(exc).__name__}: {exc}",
-                    traceback_text=traceback.format_exc(),
-                ),
-            )
+            fail(task, TaskError.from_exception(exc))
             return False
         if isinstance(result, TaskError):
             fail(task, result)
@@ -1027,27 +1011,3 @@ def run_campaign(
         outcome for outcome in results if outcome is not None
     ]
     return report
-
-
-def run_scenarios_parallel(
-    specs: Sequence[ScenarioSpec],
-    n_jobs: Optional[int] = None,
-    cache_dir: "Optional[Union[str, Path]]" = None,
-    policy: Optional[RetryPolicy] = None,
-    chaos: Optional[WorkerChaos] = None,
-    journal_dir: "Optional[Union[str, Path]]" = None,
-) -> List[ScenarioOutcome]:
-    """Outcome-list view of :func:`run_campaign` (original API).
-
-    Identical semantics — fault-tolerant executor, retries, quarantine,
-    optional journal — returning just the outcomes in submission order.
-    Use :func:`run_campaign` when the recovery counters matter.
-    """
-    return run_campaign(
-        specs,
-        n_jobs=n_jobs,
-        cache_dir=cache_dir,
-        policy=policy,
-        chaos=chaos,
-        journal_dir=journal_dir,
-    ).outcomes

@@ -11,16 +11,13 @@ ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..sensornet.environment import EnvironmentModel
 from .base import ActivationSchedule, Corruptor
 from .injector import FaultInjector
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..experiments.runner import ScenarioOutcome
 
 
 @dataclass
@@ -94,45 +91,6 @@ class CampaignSpec:
             if not entry.corruptor.malicious:
                 ids.extend(entry.sensor_ids)
         return sorted(set(ids))
-
-
-def run_campaigns_parallel(
-    scenario_names: Sequence[str],
-    n_days: int = 21,
-    seed: int = 2003,
-    n_jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    policy: Optional[object] = None,
-    chaos: Optional[object] = None,
-    journal_dir: Optional[str] = None,
-) -> List["ScenarioOutcome"]:
-    """Run the named standard campaigns across a process pool.
-
-    Thin campaign-facing wrapper over the fault-tolerant
-    :func:`repro.experiments.runner.run_scenarios_parallel` (imported
-    lazily — the experiments package imports this module).  Returns
-    :class:`~repro.experiments.runner.ScenarioOutcome` summaries in the
-    order the names were given, identical for any ``n_jobs``; with a
-    ``cache_dir``, previously generated traces are loaded from the
-    scenario cache instead of re-simulated.  ``policy`` (a
-    :class:`~repro.experiments.retry.RetryPolicy`), ``chaos`` (a
-    :class:`~repro.resilience.chaos.WorkerChaos`) and ``journal_dir``
-    pass straight through to the campaign runtime.
-    """
-    from ..experiments.runner import ScenarioSpec, run_scenarios_parallel
-
-    specs = [
-        ScenarioSpec(name=name, n_days=n_days, seed=seed)
-        for name in scenario_names
-    ]
-    return run_scenarios_parallel(
-        specs,
-        n_jobs=n_jobs,
-        cache_dir=cache_dir,
-        policy=policy,
-        chaos=chaos,
-        journal_dir=journal_dir,
-    )
 
 
 def choose_compromised(

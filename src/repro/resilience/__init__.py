@@ -31,17 +31,12 @@ PR 4 added the *algorithmic* robustness leg:
   paper's majority assumption, raising a :class:`ModelUnderAttack`
   meta-alarm and freezing β/γ learning while it is violated.
 * :mod:`repro.resilience.fuzz` — the seeded adversarial fuzz/soak
-  harness behind ``repro fuzz`` (including the ``--fleet`` mode that
-  drives a poisoned multi-tenant engine).
+  harness behind ``repro fuzz``.
 
-The fleet-isolation leg (DESIGN.md §13) adds:
-
-* :mod:`repro.resilience.fleet_chaos` — seeded per-tenant poison
-  injectors (NaN/Inf bursts, exploding values, malformed window shapes,
-  forced kernel exceptions) behind ``repro chaos --fleet`` and the
-  ``repro fleet-soak`` sweep, asserting that non-poisoned tenants stay
-  bit-identical to clean solo runs while poisoned ones are quarantined
-  and re-admitted.
+Deployments share no state, so there is no fleet-level isolation layer:
+``repro.experiments.run_fleet`` runs one pipeline per deployment and
+quarantines a deployment whose run raises, the way ``run_campaign``
+quarantines a poison spec (DESIGN.md §13).
 """
 
 from .checkpoint import (
@@ -60,20 +55,7 @@ from .chaos import (
     WorkerChaos,
     WorkerChaosError,
 )
-from .fleet_chaos import (
-    POISON_KINDS,
-    FleetChaosReport,
-    FleetPoison,
-    InjectedKernelFault,
-    run_fleet_chaos,
-)
-from .fuzz import (
-    FleetFuzzReport,
-    FuzzReport,
-    pathological_window,
-    run_fleet_fuzz,
-    run_fuzz,
-)
+from .fuzz import FuzzReport, pathological_window, run_fuzz
 from .invariants import (
     DEFAULT_INVARIANTS,
     Invariant,
@@ -92,16 +74,11 @@ __all__ = [
     "ChaosSpec",
     "CheckpointVersionError",
     "DEFAULT_INVARIANTS",
-    "FleetChaosReport",
-    "FleetFuzzReport",
-    "FleetPoison",
     "FuzzReport",
-    "InjectedKernelFault",
     "Invariant",
     "InvariantViolationError",
     "InvariantWarning",
     "ModelUnderAttack",
-    "POISON_KINDS",
     "PipelineSupervisor",
     "SimulatedWorkerCrash",
     "Violation",
@@ -112,8 +89,6 @@ __all__ = [
     "load_checkpoint",
     "pathological_window",
     "restore",
-    "run_fleet_chaos",
-    "run_fleet_fuzz",
     "run_fuzz",
     "save_checkpoint",
     "snapshot",

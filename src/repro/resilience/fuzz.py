@@ -288,193 +288,14 @@ def run_fuzz(
     return report
 
 
-@dataclass
-class FleetFuzzReport:
-    """Outcome of a fleet-mode fuzz run (see :func:`run_fleet_fuzz`)."""
-
-    n_seeds: int
-    n_tenants: int
-    n_poisoned: int
-    windows_per_seed: int
-    base_seed: int
-    mode: str
-    n_windows: int = 0
-    kind_counts: Dict[str, int] = field(default_factory=dict)
-    #: ``"seed S tenant T: ..."`` per clean tenant whose fleet result
-    #: diverged from its solo ``process_windows_fast`` run.
-    mismatches: List[str] = field(default_factory=list)
-    #: Unattributable fleet failures (these are *harness* findings).
-    crashes: List[str] = field(default_factory=list)
-    quarantines: int = 0
-    readmissions: int = 0
-    degradations: int = 0
-    skipped_windows: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not (self.mismatches or self.crashes)
-
-    def render(self) -> str:
-        lines = [
-            f"fleet-fuzz: {self.n_seeds} seeds x {self.n_tenants} tenants "
-            f"({self.n_poisoned} poisoned) x {self.windows_per_seed} windows "
-            f"(base seed {self.base_seed}, supervisor mode {self.mode}) -> "
-            f"{self.n_windows} windows processed",
-            "pathologies: "
-            + ", ".join(
-                f"{kind}={self.kind_counts.get(kind, 0)}"
-                for kind in PATHOLOGY_KINDS
-            ),
-            f"quarantines: {self.quarantines} "
-            f"(readmitted {self.readmissions}, degraded {self.degradations}, "
-            f"windows skipped {self.skipped_windows})",
-            f"clean-tenant solo mismatches: {len(self.mismatches)}",
-            f"fleet crashes: {len(self.crashes)}",
-        ]
-        for mismatch in self.mismatches[:10]:
-            lines.append(f"  mismatch: {mismatch}")
-        for crash in self.crashes[:10]:
-            lines.append(f"  crash: {crash}")
-        lines.append("verdict: " + ("OK" if self.ok else "FINDINGS"))
-        return "\n".join(lines)
-
-
-def run_fleet_fuzz(
-    n_seeds: int = 5,
-    windows_per_seed: int = 60,
-    base_seed: int = 0,
-    mode: str = "warn",
-    n_tenants: int = 6,
-    n_poisoned: int = 2,
-    n_sensors: int = 8,
-) -> FleetFuzzReport:
-    """Fuzz an N-tenant fault-isolating fleet with per-tenant pathologies.
-
-    Each seed builds a fleet in which ``n_poisoned`` tenants stream
-    windows drawn from all of :data:`PATHOLOGY_KINDS` (under the
-    supervisor mode under test) while the remaining tenants stream
-    healthy traffic unsupervised.  The fleet advance must never
-    propagate a failure, and every non-poisoned tenant must finish
-    digest- and snapshot-identical to its own solo
-    ``process_windows_fast`` run — the poison one lane over must be
-    invisible, bit for bit.
-    """
-    from ..fleet import FleetEngine
-    from .fleet_chaos import _sha_u64
-
-    if n_seeds < 1 or windows_per_seed < 1:
-        raise ValueError("n_seeds and windows_per_seed must be positive")
-    if not 0 <= n_poisoned <= n_tenants:
-        raise ValueError("n_poisoned must be in [0, n_tenants]")
-    report = FleetFuzzReport(
-        n_seeds=n_seeds,
-        n_tenants=n_tenants,
-        n_poisoned=n_poisoned,
-        windows_per_seed=windows_per_seed,
-        base_seed=base_seed,
-        mode=mode,
-        kind_counts={kind: 0 for kind in PATHOLOGY_KINDS},
-    )
-    kinds = list(_KIND_WEIGHTS)
-    weights = np.array([_KIND_WEIGHTS[k] for k in kinds])
-    weights = weights / weights.sum()
-
-    for seed_index in range(n_seeds):
-        seed = base_seed + seed_index
-        victims = set(
-            sorted(
-                range(n_tenants),
-                key=lambda tid: _sha_u64(f"fleet-fuzz:{seed}:{tid}"),
-            )[:n_poisoned]
-        )
-        streams: List[List[ObservationWindow]] = []
-        for tid in range(n_tenants):
-            rng = np.random.default_rng(seed * 100003 + tid)
-            stream = []
-            for step in range(1, windows_per_seed + 1):
-                if tid in victims:
-                    kind = str(rng.choice(kinds, p=weights))
-                else:
-                    kind = "healthy"
-                report.kind_counts[kind] += 1
-                stream.append(
-                    pathological_window(step, kind, rng, n_sensors=n_sensors)
-                )
-            streams.append(stream)
-
-        def build(tid: int) -> DetectionPipeline:
-            return DetectionPipeline(
-                PipelineConfig(
-                    n_sensors=n_sensors,
-                    supervisor_mode=mode if tid in victims else "off",
-                )
-            )
-
-        solo: Dict[int, Tuple[str, str]] = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # findings are *recorded*
-            for tid in range(n_tenants):
-                if tid in victims:
-                    continue
-                pipeline = build(tid)
-                pipeline.process_windows_fast(list(streams[tid]))
-                solo[tid] = (
-                    pipeline.digest(),
-                    json.dumps(snapshot(pipeline), sort_keys=True),
-                )
-            engine = FleetEngine(
-                [build(tid) for tid in range(n_tenants)],
-                checkpoint_interval=max(8, windows_per_seed // 4),
-                probation=8,
-            )
-            try:
-                report.n_windows += engine.process_windows(
-                    [list(stream) for stream in streams]
-                )
-            except Exception as exc:  # noqa: BLE001 - crash = finding
-                report.crashes.append(f"seed {seed}: {exc!r}")
-                continue
-        health = engine.health_report()["counters"]
-        report.quarantines += health["quarantines"]
-        report.readmissions += health["readmissions"]
-        report.degradations += health["degradations"]
-        report.skipped_windows += health["skipped_windows"]
-        for tid in range(n_tenants):
-            if tid in victims:
-                continue
-            digest = engine.pipelines[tid].digest()
-            blob = json.dumps(
-                snapshot(engine.pipelines[tid]), sort_keys=True
-            )
-            if (digest, blob) != solo[tid]:
-                report.mismatches.append(
-                    f"seed {seed} tenant {tid}: fleet digest "
-                    f"{digest[:12]} != solo {solo[tid][0][:12]}"
-                )
-    return report
-
-
 def fuzz_command(
     n_seeds: int,
     windows: Optional[int],
     soak: bool,
     base_seed: int,
     mode: str,
-    fleet: bool = False,
-    tenants: int = 6,
-    poisoned: int = 2,
 ) -> "tuple[str, int]":
     """CLI body for ``repro fuzz``; returns (report text, exit code)."""
-    if fleet:
-        report = run_fleet_fuzz(
-            n_seeds=n_seeds,
-            windows_per_seed=windows if windows is not None else 60,
-            base_seed=base_seed,
-            mode=mode,
-            n_tenants=tenants,
-            n_poisoned=poisoned,
-        )
-        return report.render(), 0 if report.ok else 1
     if windows is None:
         windows = 400 if soak else 80
     report = run_fuzz(

@@ -1,6 +1,6 @@
 """Parallel experiment runner: determinism and plumbing.
 
-The fan-out contract (DESIGN.md §Performance): ``run_scenarios_parallel``
+The fan-out contract (DESIGN.md §Performance): ``run_campaign``
 returns identical :class:`ScenarioOutcome` lists for any ``n_jobs``,
 because every worker rebuilds its scenario from the spec's own seed and
 results are collected in submission order.
@@ -13,12 +13,11 @@ import pytest
 from repro.experiments import (
     ScenarioOutcome,
     ScenarioSpec,
+    run_campaign,
     run_scenario,
-    run_scenarios_parallel,
     summarize_run,
 )
 from repro.experiments.runner import _run_scenario_spec, resolve_n_jobs
-from repro.faults.campaign import run_campaigns_parallel
 
 # Small/fast specs: 3 simulated days keep each worker under a few seconds.
 SPECS = [
@@ -30,11 +29,11 @@ SPECS = [
 
 @pytest.fixture(scope="module")
 def serial_outcomes():
-    return run_scenarios_parallel(SPECS, n_jobs=1)
+    return run_campaign(SPECS, n_jobs=1).outcomes
 
 
 def test_serial_matches_parallel(serial_outcomes):
-    parallel = run_scenarios_parallel(SPECS, n_jobs=2)
+    parallel = run_campaign(SPECS, n_jobs=2).outcomes
     assert parallel == serial_outcomes
 
 
@@ -94,21 +93,21 @@ def test_n_jobs_1_runs_inline_without_pool(monkeypatch, serial_outcomes):
     # Serial runs must stay in-process: no fork/spawn overhead, no
     # worker initialisation, and debuggable stack traces.
     _poison_pool(monkeypatch)
-    assert run_scenarios_parallel(SPECS, n_jobs=1) == serial_outcomes
+    assert run_campaign(SPECS, n_jobs=1).outcomes == serial_outcomes
 
 
 def test_single_spec_runs_inline_without_pool(monkeypatch, serial_outcomes):
     # One scenario can never benefit from a pool, whatever n_jobs says.
     _poison_pool(monkeypatch)
-    outcomes = run_scenarios_parallel(SPECS[:1], n_jobs=4)
+    outcomes = run_campaign(SPECS[:1], n_jobs=4).outcomes
     assert outcomes == serial_outcomes[:1]
 
 
-def test_campaign_wrapper_delegates(serial_outcomes):
-    outcomes = run_campaigns_parallel(
-        ["clean", "stuck_at"], n_days=3, seed=17, n_jobs=1
-    )
-    assert outcomes == serial_outcomes[:2]
+def test_specs_built_from_names_match_the_full_campaign(serial_outcomes):
+    specs = [
+        ScenarioSpec(name, n_days=3, seed=17) for name in ("clean", "stuck_at")
+    ]
+    assert run_campaign(specs, n_jobs=1).outcomes == serial_outcomes[:2]
 
 
 def test_spec_defaults_match_cached_scenario_defaults():

@@ -29,6 +29,7 @@ from repro.resilience import (
     snapshot,
 )
 from repro.sensornet import ObservationWindow, SensorMessage
+from repro.sensornet.collector import windows_from_arrays
 
 
 def window(index, readings, minutes_per_window=60.0):
@@ -59,6 +60,21 @@ def faulty_trace(n_windows, fault_from=9, n_sensors=5):
             readings[4] = (55.0, 5.0)
         windows.append(window(i, readings))
     return windows
+
+
+def regime_trace(seed, n_windows=80, n_sensors=6, dwell=40, noise=0.3):
+    """Array windows alternating between two levels every ``dwell``."""
+    rng = np.random.default_rng(seed)
+    index = np.repeat(np.arange(n_windows), n_sensors)
+    hot = (index // dwell) % 2
+    values = np.array([10.0, 15.0]) + 12.0 * hot[:, None]
+    values = values + rng.normal(0, noise, values.shape)
+    return windows_from_arrays(
+        index * 60.0 + 1.0,
+        np.tile(np.arange(n_sensors), n_windows),
+        values,
+        PipelineConfig().window_minutes,
+    )
 
 
 def json_round_trip(payload):
@@ -321,6 +337,50 @@ class TestSnapshotRestore:
         for w in windows[15:]:
             rebuilt.process_window(w)
         assert 4 in rebuilt.diagnose_all()
+
+    def test_snapshot_shares_no_state_with_live_or_restored_pipeline(self):
+        # A snapshot dict kept in memory without serialising it is only
+        # sound if it never mutates under the live pipeline (or a
+        # pipeline restored from it) advancing.
+        windows = faulty_trace(80)
+        pipeline = DetectionPipeline(PipelineConfig())
+        pipeline.process_windows_fast(windows[:40])
+
+        stored = snapshot(pipeline)
+        frozen = json.dumps(stored, sort_keys=True)
+
+        pipeline.process_windows_fast(windows[40:])
+        assert json.dumps(stored, sort_keys=True) == frozen
+
+        restored = restore(stored)
+        restored.process_windows_fast(windows[40:])
+        assert json.dumps(stored, sort_keys=True) == frozen
+        assert restored.digest() == pipeline.digest()
+
+    def test_checkpoint_mid_steady_stretch(self):
+        # A fast-path batch that ends inside a certified steady stretch
+        # must fold the deferred run-length state into the snapshot, and
+        # the restored pipeline must continue bit-identically.
+        windows = regime_trace(seed=300)
+        split = 30  # inside the first dwell's certified stretch
+        probe = DetectionPipeline(PipelineConfig())
+        for w in windows[:split]:
+            probe.process_window(w)
+        assert probe._steady is not None
+
+        reference = DetectionPipeline(PipelineConfig())
+        reference.process_windows_fast(windows[:split])
+        reference.process_windows_fast(windows[split:])
+
+        first = DetectionPipeline(PipelineConfig())
+        first.process_windows_fast(windows[:split])
+        resumed = restore(json_round_trip(snapshot(first)))
+        resumed.process_windows_fast(windows[split:])
+
+        assert reference.digest() == resumed.digest()
+        assert json.dumps(snapshot(reference), sort_keys=True) == json.dumps(
+            snapshot(resumed), sort_keys=True
+        )
 
     def test_config_override(self):
         pipeline = DetectionPipeline(PipelineConfig())

@@ -18,7 +18,6 @@ from repro.experiments.runner import (
     ScenarioSpec,
     campaign_spec_key,
     run_campaign,
-    run_scenarios_parallel,
 )
 from repro.resilience.chaos import (
     SimulatedWorkerCrash,
@@ -39,7 +38,7 @@ FAST = dict(backoff_base=0.0)
 
 @pytest.fixture(scope="module")
 def serial_outcomes():
-    return run_scenarios_parallel(SPECS, n_jobs=1)
+    return run_campaign(SPECS, n_jobs=1).outcomes
 
 
 def _seed_where(predicate, limit=10_000):
@@ -329,11 +328,6 @@ class TestPoolRecovery:
 
 
 class TestBackwardCompatibility:
-    def test_run_scenarios_parallel_unchanged_signature(
-        self, serial_outcomes
-    ):
-        assert run_scenarios_parallel(SPECS, n_jobs=1) == serial_outcomes
-
     def test_report_stats_line(self):
         report = CampaignReport(outcomes=[], n_retries=3, n_timeouts=1)
         line = report.stats_line()
@@ -345,3 +339,13 @@ class TestBackwardCompatibility:
         assert error.describe() == "timeout: too slow"
         error = TaskError("exception", "boom", "Traceback ...\n")
         assert error.describe() == "exception: boom\nTraceback ..."
+
+    def test_task_error_from_exception(self):
+        try:
+            raise ValueError("bad window")
+        except ValueError as exc:
+            error = TaskError.from_exception(exc)
+        assert error.kind == "exception"
+        assert error.message == "ValueError: bad window"
+        assert error.traceback_text.startswith("Traceback")
+        assert "ValueError: bad window" in error.traceback_text

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.runner import (
-    ScenarioSpec,
-    run_campaign,
-    run_scenarios_parallel,
-)
+from repro.experiments.runner import ScenarioSpec, run_campaign
 from repro.traces import (
     CachedTrace,
     TraceCache,
@@ -226,8 +222,8 @@ class TestCampaignIntegration:
             ScenarioSpec("clean", n_days=2, seed=11),
             ScenarioSpec("stuck_at", n_days=2, seed=11),
         ]
-        cold = run_scenarios_parallel(specs, n_jobs=1, cache_dir=str(tmp_path))
-        hot = run_scenarios_parallel(specs, n_jobs=1, cache_dir=str(tmp_path))
+        cold = run_campaign(specs, n_jobs=1, cache_dir=str(tmp_path)).outcomes
+        hot = run_campaign(specs, n_jobs=1, cache_dir=str(tmp_path)).outcomes
 
         assert [o.from_cache for o in cold] == [False, False]
         assert [o.from_cache for o in hot] == [True, True]
@@ -238,9 +234,9 @@ class TestCampaignIntegration:
 
     def test_cache_matches_uncached_run(self, tmp_path):
         specs = [ScenarioSpec("stuck_at", n_days=2, seed=11)]
-        uncached = run_scenarios_parallel(specs, n_jobs=1)
-        hot = run_scenarios_parallel(specs, n_jobs=1, cache_dir=str(tmp_path))
-        hot = run_scenarios_parallel(specs, n_jobs=1, cache_dir=str(tmp_path))
+        uncached = run_campaign(specs, n_jobs=1).outcomes
+        hot = run_campaign(specs, n_jobs=1, cache_dir=str(tmp_path)).outcomes
+        hot = run_campaign(specs, n_jobs=1, cache_dir=str(tmp_path)).outcomes
         assert hot == uncached
         # The run label survives the cache round trip (it differs from
         # the registry key: "stuck_at" vs "stuck-at").
@@ -249,7 +245,7 @@ class TestCampaignIntegration:
     def test_cache_dir_is_created_on_demand(self, tmp_path):
         target = tmp_path / "nested" / "cache"
         specs = [ScenarioSpec("clean", n_days=2, seed=5)]
-        run_scenarios_parallel(specs, n_jobs=1, cache_dir=str(target))
+        run_campaign(specs, n_jobs=1, cache_dir=str(target))
         assert list(target.glob("*.npz"))
 
     def test_hot_pool_campaign_matches_serial(self, tmp_path):
