@@ -28,10 +28,10 @@ backoff, deadlines via ``--task-timeout``, worker-crash recovery,
 poison-spec quarantine — exits non-zero if any spec was quarantined —
 and a durable resume journal via ``--journal``; the ``--chaos-*``
 flags soak-test it with seeded worker-level faults) and prints one
-verdict line each; ``parity`` replays one trace through the per-window
-oracle, the fused batch path and the streamed fused step and exits
-non-zero unless digests, snapshots, and per-window results match
-exactly; ``fuzz`` drives the pipeline with seeded adversarial streams
+verdict line each; ``parity`` replays a clean and a planted-fault trace
+through the per-window oracle, the fused batch path and the streamed
+fused step and exits non-zero unless digests, snapshots, and
+per-window results match exactly; ``fuzz`` drives the pipeline with seeded adversarial streams
 (NaN/Inf bursts, floods, coordinated corruption) and exits non-zero on
 any crash, invariant violation, or checkpoint round-trip divergence.  Timing is not a CLI command: the end-to-end
 benchmark is ``python3 bench/run.py`` (see ``BENCHMARK.json``).
@@ -479,13 +479,53 @@ def _cmd_campaign(args: argparse.Namespace) -> "tuple[str, int]":
     return "\n".join(lines), 0 if report.ok else 1
 
 
+def _parity_traces(n_days: int, seed: int) -> list:
+    """``(name, trace)`` pairs the parity gate replays.
+
+    A clean GDI trace, and the same deployment with a planted fault
+    regime from a third of the way in: one stuck-at sensor (dropping
+    half its packets, so the sensor population changes too) next to a
+    deletion coalition of a third of the network.  The second trace is
+    what drives split windows — a fixed sensor→state partition — through
+    the fused engine.
+    """
+    from .experiments.scenarios import ATTACK_FRACTION
+    from .faults.attacks import DynamicDeletionAttack
+    from .faults.base import ActivationSchedule
+    from .faults.campaign import CampaignSpec, choose_compromised
+    from .faults.errors import PacketDropper, StuckAtFault
+    from .traces import GDITraceConfig, generate_gdi_trace_columnar
+    from .traces.gdi import build_environment
+
+    trace_config = GDITraceConfig(n_days=n_days, seed=seed)
+    coalition = choose_compromised(
+        range(trace_config.n_sensors), ATTACK_FRACTION, seed=seed
+    )
+    stuck = min(set(range(trace_config.n_sensors)) - set(coalition))
+    onset = ActivationSchedule(start_minutes=n_days * 24 * 60.0 / 3.0)
+    plan = CampaignSpec(name="stuck_at+deletion")
+    plan.plant(
+        PacketDropper(
+            inner=StuckAtFault(value=(15.0, 1.0)), drop_probability=0.5, seed=seed
+        ),
+        [stuck],
+        onset,
+    )
+    plan.plant(DynamicDeletionAttack(), coalition, onset)
+    injector = plan.build_injector(build_environment(trace_config))
+    return [
+        ("clean", generate_gdi_trace_columnar(trace_config)),
+        ("faulted", generate_gdi_trace_columnar(trace_config, corruption=injector)),
+    ]
+
+
 def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
     """The ``repro parity`` implementation: (report text, exit code).
 
-    Replays one GDI trace through the per-window oracle
-    (``_process_window_reference``), the fused batch path
-    (``process_windows_fast``) and the streamed fused step
-    (``process_window`` one window at a time, with a digest read
+    Replays each trace of :func:`_parity_traces` (clean and faulted)
+    through the per-window oracle (``_process_window_reference``), the
+    fused batch path (``process_windows_fast``) and the streamed fused
+    step (``process_window`` one window at a time, with a digest read
     mid-run that folds the live state back) for every alarm-filter kind
     crossed with every supervisor mode, and demands exact equality of
     the digest, the JSON snapshot, and each per-window result.  Any
@@ -493,16 +533,9 @@ def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
     code is non-zero and CI blocks on it.
     """
     from . import DetectionPipeline, PipelineConfig
-    from .traces import (
-        GDITraceConfig,
-        generate_gdi_trace_columnar,
-        window_trace_columnar,
-    )
+    from .traces import window_trace_columnar
 
     n_days, seed = args.days, args.seed
-    trace = generate_gdi_trace_columnar(
-        GDITraceConfig(n_days=n_days, seed=seed)
-    )
     lines = [f"fused-vs-oracle parity: {n_days} days, seed {seed}"]
     ok = True
 
@@ -512,37 +545,40 @@ def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
     def _tag(flag: bool) -> str:
         return "OK" if flag else "FAIL"
 
-    for kind in ("k_of_n", "sprt", "cusum"):
-        for mode in ("off", "warn", "repair"):
-            config = PipelineConfig(filter_kind=kind, supervisor_mode=mode)
-            windows = window_trace_columnar(trace, config.window_minutes)
-            oracle = DetectionPipeline(config)
-            oracle_results = [
-                oracle._process_window_reference(window) for window in windows
-            ]
-            fused = DetectionPipeline(config)
-            fused.process_windows_fast(windows)
-            stream = DetectionPipeline(config)
-            stream_results = []
-            for position, window in enumerate(windows):
-                stream_results.append(stream.process_window(window))
-                if position == len(windows) // 2:
-                    stream.digest()
-            for engine, pipeline, results in (
-                ("fused", fused, fused.results),
-                ("stream", stream, stream_results),
-            ):
-                digest_ok = oracle.digest() == pipeline.digest()
-                snapshot_ok = _snapshot(oracle) == _snapshot(pipeline)
-                results_ok = len(oracle_results) == len(results) and all(
-                    a == b for a, b in zip(oracle_results, results)
-                )
-                ok = ok and digest_ok and snapshot_ok and results_ok
-                lines.append(
-                    f"  {engine:<6} {kind:<7} {mode:<7} "
-                    f"digest={_tag(digest_ok)} snapshot={_tag(snapshot_ok)} "
-                    f"results={_tag(results_ok)}"
-                )
+    for name, trace in _parity_traces(n_days, seed):
+        for kind in ("k_of_n", "sprt", "cusum"):
+            for mode in ("off", "warn", "repair"):
+                config = PipelineConfig(filter_kind=kind, supervisor_mode=mode)
+                windows = window_trace_columnar(trace, config.window_minutes)
+                oracle = DetectionPipeline(config)
+                oracle_results = [
+                    oracle._process_window_reference(window)
+                    for window in windows
+                ]
+                fused = DetectionPipeline(config)
+                fused.process_windows_fast(windows)
+                stream = DetectionPipeline(config)
+                stream_results = []
+                for position, window in enumerate(windows):
+                    stream_results.append(stream.process_window(window))
+                    if position == len(windows) // 2:
+                        stream.digest()
+                for engine, pipeline, results in (
+                    ("fused", fused, fused.results),
+                    ("stream", stream, stream_results),
+                ):
+                    digest_ok = oracle.digest() == pipeline.digest()
+                    snapshot_ok = _snapshot(oracle) == _snapshot(pipeline)
+                    results_ok = len(oracle_results) == len(results) and all(
+                        a == b for a, b in zip(oracle_results, results)
+                    )
+                    ok = ok and digest_ok and snapshot_ok and results_ok
+                    lines.append(
+                        f"  {name:<7} {engine:<6} {kind:<7} {mode:<7} "
+                        f"digest={_tag(digest_ok)} "
+                        f"snapshot={_tag(snapshot_ok)} "
+                        f"results={_tag(results_ok)}"
+                    )
     lines.append("parity PASS" if ok else "parity FAIL")
     return "\n".join(lines), 0 if ok else 1
 

@@ -377,15 +377,14 @@ class OnlineStateClusterer:
         observations: np.ndarray,
         assignments: List[int],
         full_mean: Optional[np.ndarray] = None,
-    ) -> List[int]:
+    ) -> None:
         """Eq. 5 + Eq. 6: move each visited state toward its group mean.
 
-        ``full_mean``, when given, must equal
+        Groups are visited in first-occurrence order of ``assignments``;
+        each move decays the state set's certified pair bound in that
+        order.  ``full_mean``, when given, must equal
         ``np.mean(observations, axis=0)`` bit-for-bit (see
         :meth:`update`); it short-cuts the single-group reduction.
-        Returns the ids of the states that were moved, in group
-        first-occurrence order, so :meth:`update` knows which distance
-        columns went stale.
         """
         first = assignments[0]
         if assignments.count(first) == len(assignments):
@@ -403,7 +402,7 @@ class OnlineStateClusterer:
                 (1.0 - self.alpha) * state.vector + self.alpha * group_mean,
             )
             state.visits += 1
-            return [first]
+            return
         groups: Dict[int, List[int]] = {}
         for row_index, state_id in enumerate(assignments):
             groups.setdefault(state_id, []).append(row_index)
@@ -415,7 +414,6 @@ class OnlineStateClusterer:
                 (1.0 - self.alpha) * state.vector + self.alpha * group_mean,
             )
             state.visits += 1
-        return list(groups)
 
     def _merge_close_states(self) -> List["tuple[int, int]"]:
         """Repeatedly merge the closest pair while it is under threshold."""

@@ -601,31 +601,40 @@ class VectorFilterBank:
         self._pos_sync = advanced
         self._updates[:live] += 1
 
-    def quiescent_all_false(self, sensor_ids: np.ndarray) -> bool:
-        """True when all-False updates over this exact id set are pure
-        positional advances.
+    def quiescent_saturated(
+        self, sensor_ids: np.ndarray, raws: np.ndarray
+    ) -> bool:
+        """True when updates with these fixed ``raws`` over this exact id
+        set are pure positional advances.
 
-        Holds for a lockstep k-of-n bank whose rings are all empty
-        (``count == 0`` implies every ring cell is False): evicting
-        False and inserting False leaves counts, rings, and active flags
+        Holds for a lockstep k-of-n bank whose every ring is saturated
+        at its sensor's raw: count 0 (every cell False) for a False
+        sensor, count ``n`` (every cell True) for a True one, with the
+        active flag already at ``count >= k``.  Evicting and inserting
+        the same value then leaves counts, rings, and active flags
         untouched — only the shared write position and the per-slot
         update counters move.  ``sensor_ids`` must cover every live slot
         in ascending order (the ``full`` shape), or partial updates
-        would desync positions.  SPRT/CUSUM statistics decay toward
-        their rest state rather than sitting at it, so they never
-        qualify.
+        would desync positions.  SPRT/CUSUM statistics keep moving
+        under a fixed input, so they never qualify.
         """
         if self.kind != "k_of_n" or self._pos_sync is None:
             return False
         slots, full = self._slots_for(sensor_ids)
         if not full or len(slots) == 0:
             return False
-        return not self._count[: len(slots)].any()
+        live = len(slots)
+        # Plain-list comparisons: the banks are tiny, and this runs on
+        # every certified stretch window until the rings saturate.
+        flags = raws.tolist()
+        return self._active[:live].tolist() == flags and self._count[
+            :live
+        ].tolist() == [self.n if flag else 0 for flag in flags]
 
     def advance_quiescent(self, count: int) -> None:
-        """Apply ``count`` deferred all-False windows in O(1).
+        """Apply ``count`` deferred saturated windows in O(1).
 
-        Only valid immediately after :meth:`quiescent_all_false`
+        Only valid immediately after :meth:`quiescent_saturated`
         returned True and no other update ran since: positions advance
         ``count`` steps, update counters grow by ``count``, everything
         else is provably unchanged.

@@ -52,48 +52,87 @@ from .online_hmm import OnlineHMM
 from .tracks import ErrorAttackTrack, TrackManager
 
 class _SteadyStretch:
-    """Mutable context for one certified steady-state stretch.
+    """Mutable context for one certified partition stretch.
 
-    Tracks the Python-float evolution of the unanimous centroid (``c``),
-    the static other-state vectors the certificates are measured
-    against, and the deferred visit / alarm-history / filter-advance
-    counts folded back into the live modules at stretch exit.  A
-    stretch stays open across ``process_window`` calls until a window
-    fails its certificate or a reader forces ``DetectionPipeline._sync``.
+    A stretch pins the sensor set and the sensor→state partition of the
+    window that opened it: ``groups`` lists the sorted sensor positions
+    of each state group in the oracle's first-occurrence order, and the
+    largest group (unique by construction) is the majority.  ``k = 1``
+    is the unanimous healthy stretch.  Every live state's vector evolves
+    here in Python floats (``vecs``, aligned with ``state_ids``) with
+    per-state deferred visit counts; alarm-history runs, raw alarms and
+    saturated filter advances are deferred too, and all of it is folded
+    back into the live modules at stretch exit.  A stretch stays open
+    across ``process_window`` calls until a window fails its certificate
+    or a reader forces ``DetectionPipeline._sync``.
     """
 
     __slots__ = (
-        "sid",
-        "c",
+        "ids",
+        "groups",
+        "group_of",
+        "major",
+        "raws",
+        "state_ids",
+        "vecs",
         "visits",
-        "others",
-        "zeros",
-        "steady_ids",
-        "alarm_count",
+        "targets",
+        "pattern",
+        "count",
+        "log",
         "filter_defer",
         "filter_count",
     )
 
     def __init__(
-        self, sid: int, c: List[float], others: List[List[float]]
+        self,
+        ids: List[int],
+        groups: List[List[int]],
+        major: int,
+        state_ids: List[int],
+        vecs: List[List[float]],
+        targets: List[int],
     ) -> None:
-        self.sid = sid
-        self.c = c
-        self.visits = 0
-        #: vectors of every *other* live state (static for the whole
-        #: stretch — a move/spawn/merge would have ended it)
-        self.others = others
-        #: per-sensor-count cached all-False raw-alarm arrays
-        self.zeros: Dict[int, np.ndarray] = {}
-        #: the stretch's sensor-id set (pinned on the first certified
-        #: window; a different set breaks the stretch)
-        self.steady_ids: Optional[List[int]] = None
-        #: alarm-history windows deferred for batch append at exit
-        self.alarm_count = 0
-        #: True when the filter bank certified all-False quiescence
+        #: the pinned sorted sensor ids (a different set ends the stretch)
+        self.ids = ids
+        self.groups = groups
+        self.group_of = [0] * len(ids)
+        for index, members in enumerate(groups):
+            for position in members:
+                self.group_of[position] = index
+        self.major = major
+        #: per-sorted-position raw alarm: fixed, since only the majority
+        #: group agrees with the correct state
+        self.raws = np.array(
+            [group != major for group in self.group_of], dtype=bool
+        )
+        self.state_ids = state_ids
+        self.vecs = vecs
+        self.visits = [0] * len(state_ids)
+        #: ``state_ids`` index each group currently maps to
+        self.targets: List[int] = []
+        self.pattern: tuple = ()
+        self.retarget(targets)
+        #: certified windows so far
+        self.count = 0
+        #: ``(window_index, order_first, pattern)`` of every certified
+        #: window with raw alarms, for the deferred ``RawAlarm`` log
+        self.log: List[tuple] = []
+        #: True while the filter bank is saturated at ``raws``
         self.filter_defer = False
         #: filter windows deferred for ``advance_quiescent`` at exit
         self.filter_count = 0
+
+    def retarget(self, targets: List[int]) -> None:
+        """Point the groups at new states: the window's compact pattern
+        ``(assignments in sorted order, correct state, majority size)``."""
+        self.targets = targets
+        group_states = [self.state_ids[index] for index in targets]
+        self.pattern = (
+            [group_states[group] for group in self.group_of],
+            group_states[self.major],
+            len(self.groups[self.major]),
+        )
 
 
 @dataclass(frozen=True)
@@ -162,7 +201,7 @@ class DetectionPipeline:
         #: Live fused state, kept across calls and folded back into the
         #: scalar modules by ``_sync`` before anything reads them: the
         #: vector mirror of ``_filter_bank`` (None until the first fused
-        #: step, or after a fold) and the open steady stretch, if any.
+        #: step, or after a fold) and the open certified stretch, if any.
         self._vector_bank: Optional[VectorFilterBank] = None
         self._steady: Optional[_SteadyStretch] = None
         #: True once the filter bank proved non-vectorizable (custom
@@ -202,8 +241,9 @@ class DetectionPipeline:
     def _sync(self, filters: bool = False) -> None:
         """Fold the live fused state back into the scalar modules.
 
-        Ends an open steady stretch (its deferred centroid motion,
-        alarm-history runs and quiescent filter advances).  With
+        Ends an open stretch (its deferred centroid motion and visits,
+        alarm-history runs and raw alarms, and saturated filter
+        advances).  With
         ``filters`` it also folds the vector filter bank into the scalar
         :class:`FilterBank` and drops it, so the caller may read or
         mutate the scalar bank; the next fused step rebuilds the mirror.
@@ -349,7 +389,7 @@ class DetectionPipeline:
 
         The paper's on-the-fly step (§3, Fig. 1), run through the fused
         engine: one window's means come from :func:`_window_stats`, the
-        vector filter bank and any certified steady stretch stay live
+        vector filter bank and any certified stretch stay live
         across calls (folded back by ``_sync`` before anything reads
         them), so a streamed window costs about what it costs inside
         :meth:`process_windows_fast`.  The returned :class:`WindowResult`
@@ -381,9 +421,9 @@ class DetectionPipeline:
         return len(windows)
 
     def _fused_step(self, window: ObservationWindow, stat: "Optional[tuple]") -> None:
-        """One window through the fused engine: the steady-stretch
-        certificate first, else the full fused step (which may open a
-        stretch); the oracle when the filter bank cannot be vectorized.
+        """One window through the fused engine: the stretch certificate
+        first, else the full fused step (which may open a stretch); the
+        oracle when the filter bank cannot be vectorized.
         The caller holds ``np.errstate(over="ignore")``."""
         bank = self._live_vector_bank()
         if bank is None:
@@ -397,7 +437,7 @@ class DetectionPipeline:
             self._steady_exit(steady)
         hint = self._process_window_fast(window, stat, bank)
         if hint is not None and self.supervisor is None:
-            self._steady = self._steady_enter(hint)
+            self._steady = self._steady_enter(hint, stat, bank)
 
     def _process_window_reference(self, window: ObservationWindow) -> WindowResult:
         """The per-window reference step: the fused engine's oracle.
@@ -518,11 +558,12 @@ class DetectionPipeline:
         window: ObservationWindow,
         stat: "Optional[tuple]",
         vector_bank: VectorFilterBank,
-    ) -> Optional[int]:
+    ) -> Optional[List[int]]:
         """One full fused window step (mirrors ``_process_window_reference``).
 
-        Returns the unanimous state id when the window qualifies as a
-        steady-stretch entry point (see ``_steady_step``), else None.
+        Returns the window's state assignments (sorted sensor order)
+        when it qualifies as a stretch entry point (see
+        ``_steady_step``), else None.
         """
         self._n_windows += 1
         supervisor = self.supervisor
@@ -635,8 +676,9 @@ class DetectionPipeline:
         if supervisor is not None:
             supervisor.after_window(self)
             return None
-        # Steady-stretch entry hint: a trusted window that ended
-        # unanimous with no structural change is a candidate for the
+        # Stretch entry hint: a trusted window that kept its partition
+        # through the update (pre-update assignments equal the final
+        # ones) with no structural change is a candidate for the
         # certified fast lane (see ``_steady_step``).
         if (
             trusted
@@ -644,51 +686,58 @@ class DetectionPipeline:
             and cluster_update.mean_spawned is None
             and not cluster_update.spawned
             and not cluster_update.merged
+            and cluster_update.assignments == assignments
         ):
-            n = len(assignments)
-            c = assignments[0]
-            if (
-                assignments.count(c) == n
-                and cluster_update.observable_state == c
-                and cluster_update.assignments.count(c) == n
-            ):
-                return c
+            return assignments
         return None
 
-    # -- certified steady-state stretch ---------------------------------
+    # -- certified partition stretch ----------------------------------
     #
-    # The dominant regime of a healthy trace is: every sensor mean maps
-    # to the same state c, nothing spawns or merges, and only c moves
-    # (one Eq. 6 step toward the window mean).  In that regime the whole
-    # window's observable behaviour is determined by integers already
-    # known (all assignments = c), and the only float state that evolves
-    # outside the filter/HMM modules is c's vector — a per-window scalar
-    # recurrence `c <- (1-alpha)*c + alpha*g` that Python floats compute
-    # with the exact same two roundings per element as the oracle's
-    # NumPy expression.
+    # The dominant regimes of a trace are a healthy network whose every
+    # sensor maps to one state, and, after a fault's onset, a fixed
+    # split: the faulty sensor (or the attacking coalition) sits in its
+    # own state while the majority tracks the environment (§3.1).
+    # Either way the sensor→state partition holds still for whole
+    # stretches of windows, nothing spawns or merges, and the only float
+    # state that evolves outside the filter/HMM modules is the vector of
+    # each group's state — one Eq. 6 recurrence
+    # ``v <- (1-alpha)*v + alpha*g`` per group that Python floats compute
+    # with the same two roundings per element as the oracle's NumPy
+    # expression, from group means ``g`` summed in the oracle's order.
     #
-    # The stretch path therefore skips the distance kernels entirely and
-    # instead *proves*, per window and in a handful of scalar float ops,
-    # that the oracle would have produced the unanimous no-change
-    # outcome.  With g the window centroid (the precomputed full group
-    # mean), s the precomputed spread (max distance from g to any of the
-    # window's points, overall mean included), and delta the length of
-    # c's Eq. 6 step this window, the triangle inequality gives for
-    # every window point p, against both the pre-move c and the
-    # post-move c (which is at most delta farther from everything):
+    # The stretch path therefore skips the distance kernels and instead
+    # *proves*, per window and in a handful of scalar float ops, that
+    # the oracle would keep the partition.  For each group j with mean
+    # g_j, radius r_j (max distance from g_j to the group's points) and
+    # target t_j (the state nearest g_j, normally the group's own), let
+    # delta_X be the length of state X's Eq. 6 step this window (0 for a
+    # state no group targets).  The triangle inequality gives, for every
+    # point p of the group, against the pre-move and post-move states:
     #
-    # * d(p, c) <= d(g, c) + s + delta — so
-    #   ``d(g, c) + s + delta <= spawn_threshold`` rules out every spawn
-    #   check (they all need a distance *above* the threshold), the
-    #   overall-mean spawn included.
-    # * d(p, X) >= d(g, X) - s for any other state X — so
-    #   ``d(g, c) + 2 s + delta < min_X d(g, X)`` keeps every point
-    #   strictly nearer to c than to any other state, and every argmin
-    #   (the tie-break included) lands on c, for Eq. 3 and the Eq. 2
-    #   overall-mean assignment alike.
+    # * d(p, t_j) <= max(d(g_j, t_j), d(g_j, t_j')) + r_j =: reach_j,
+    #   with t_j' the post-move target — so ``reach_j <=
+    #   spawn_threshold`` rules out every spawn check (they all need a
+    #   distance *above* the threshold).
+    # * d(p, X) >= d(g_j, X) - r_j - delta_X for any other state X — so
+    #   ``reach_j + r_j + delta_X < d(g_j, X)`` keeps every point
+    #   strictly nearer t_j than X before and after the moves, and every
+    #   argmin (the tie-break included) lands on t_j: the pre-update and
+    #   final assignments both reproduce the partition.
+    # * a one-group window's radius (the batched spread) covers the
+    #   overall mean too; otherwise the overall mean is measured
+    #   directly against the post-move states: a unique nearest state
+    #   within ``spawn_threshold`` is the observable state, and no mean
+    #   spawn happens.
     # * the certified pair-distance lower bound (see ``StateSet``),
-    #   decayed by delta, staying >= merge_threshold rules out merges.
+    #   decayed once per moved state in the oracle's group order,
+    #   staying >= merge_threshold rules out merges; where the oracle
+    #   would rescan instead, the stretch runs the same scan over the
+    #   post-move vectors and keeps its bound if that still clears it.
     #
+    # Targets must stay distinct, so the partition's grouping — and
+    # with it the unique majority and every sensor's raw alarm — is
+    # fixed for the stretch; a group whose centroid moved into another
+    # state's basin (an environment transition) retargets in place.
     # Every certificate is padded by an absolute + relative slack so
     # float rounding in these scalar evaluations can never certify a
     # window the oracle would have handled differently.  Any window
@@ -696,19 +745,36 @@ class DetectionPipeline:
     # is written back first) and reprocesses through the full fused
     # path — certification is a pure go/no-go, never a result.
 
-    def _steady_enter(self, state_id: int) -> "_SteadyStretch":
+    def _steady_enter(
+        self,
+        assignments: List[int],
+        stat: tuple,
+        bank: VectorFilterBank,
+    ) -> "Optional[_SteadyStretch]":
+        """Open a stretch on the partition a full window just kept, or
+        return None when its majority is tied (Eq. 4's tie-break reads
+        state geometry the stretch does not track)."""
         assert self._clusterer is not None
-        states = self._clusterer.states
-        matrix, ids = states._ensure_cache()
-        state = states.get(state_id)
-        others = [
-            (sid, row)
-            for row, sid in zip(matrix.tolist(), ids)
-            if sid != state_id
-        ]
-        return _SteadyStretch(
-            state_id, [float(x) for x in state.vector], others
+        members: Dict[int, List[int]] = {}
+        for position, state_id in enumerate(assignments):
+            members.setdefault(state_id, []).append(position)
+        groups = list(members.values())
+        sizes = [len(group) for group in groups]
+        top = max(sizes)
+        if sizes.count(top) > 1:
+            return None
+        matrix, state_ids = self._clusterer.states._ensure_cache()
+        index_of = {state_id: index for index, state_id in enumerate(state_ids)}
+        ctx = _SteadyStretch(
+            stat[0],
+            groups,
+            sizes.index(top),
+            list(state_ids),
+            matrix.tolist(),
+            [index_of[state_id] for state_id in members],
         )
+        ctx.filter_defer = bank.quiescent_saturated(stat[1], ctx.raws)
+        return ctx
 
     def _steady_step(
         self,
@@ -723,170 +789,185 @@ class DetectionPipeline:
         certified; the caller then writes the deferred state back and
         runs the full fused path on the same window.
         """
-        if stat is None:
+        if stat is None or stat[0] != ctx.ids:
+            # No fused stats, or a different sensor population: the
+            # deferred alarm/filter bookkeeping no longer applies.
             return False
         full_mean = stat[5]
         spread = stat[6]
         if full_mean is None or spread is None:
             return False
-        ids_sorted = stat[0]
-        if ctx.steady_ids is None:
-            # First certified window pins the stretch's sensor set and
-            # decides once whether filter updates can be deferred.
-            ctx.steady_ids = ids_sorted
-            ctx.filter_defer = bank.quiescent_all_false(stat[1])
-        elif ids_sorted != ctx.steady_ids:
-            # A different sensor population invalidates the deferred
-            # alarm/filter bookkeeping — rejoin the full path.
-            return False
         clusterer = self._clusterer
         assert clusterer is not None
-        goal = full_mean.tolist()
-        c = ctx.c
+        groups = ctx.groups
+        # Eq. 5 group means, bit-equal to the oracle's: a one-group
+        # window's is the precomputed full mean (and ``spread`` its
+        # radius), otherwise sequential column sums from 0.0 in row
+        # order — the accumulation ``np.mean(rows, axis=0)`` performs.
+        # Distances that only feed certificates use ``math.dist``; its
+        # rounding differs from the kernels' by far less than the pads.
+        if len(groups) == 1:
+            goals = [full_mean.tolist()]
+            radii = [spread]
+        else:
+            rows = stat[2].tolist()
+            goals = []
+            radii = []
+            for group in groups:
+                sums = [0.0] * len(rows[0])
+                for position in group:
+                    for t, value in enumerate(rows[position]):
+                        sums[t] += value
+                size = len(group)
+                goal = [value / size for value in sums]
+                goals.append(goal)
+                radii.append(max(math.dist(rows[p], goal) for p in group))
+        # Each group's target: the state nearest its centroid.
+        vecs = ctx.vecs
+        dists = []
+        targets = []
+        for goal in goals:
+            row = [math.dist(goal, vector) for vector in vecs]
+            dists.append(row)
+            targets.append(row.index(min(row)))
+        if len(set(targets)) != len(targets):
+            return False
+        # Eq. 6: each target steps toward its group mean (the step
+        # length exactly as ``StateSet.update_vector`` measures it).
+        # ``reach`` bounds the group's points' distance to the target,
+        # pre- and post-move.
         alpha = clusterer.alpha
         keep = 1.0 - alpha
-        dims = len(c)
-        new_c = list(c)
-        moved_sq = 0.0
-        gc_sq = 0.0
-        for t in range(dims):
-            g_t = goal[t]
-            c_t = c[t]
-            value = keep * c_t + alpha * g_t
-            new_c[t] = value
-            step = value - c_t
-            moved_sq += step * step
-            away = g_t - c_t
-            gc_sq += away * away
-        delta = math.sqrt(moved_sq)
-        reach = math.sqrt(gc_sq) + spread + delta
-        min_other_sq = math.inf
-        second_sq = math.inf
-        min_idx = -1
-        for idx, (_, vector) in enumerate(ctx.others):
-            acc = 0.0
-            for t in range(dims):
-                diff = goal[t] - vector[t]
-                acc += diff * diff
-            if acc < min_other_sq:
-                second_sq = min_other_sq
-                min_other_sq = acc
-                min_idx = idx
-            elif acc < second_sq:
-                second_sq = acc
-        min_other = math.sqrt(min_other_sq)
-        pad = 1e-9 + 1e-12 * (reach + spread)
-        if (
-            reach + pad <= clusterer.spawn_threshold
-            and reach + spread + pad < min_other * (1.0 - 1e-12) - 1e-9
-        ):
-            bound = clusterer.states.peek_decayed_pair_bound(delta)
-            if bound is None or not bound >= clusterer.merge_threshold:
-                return False
-            clusterer.states.commit_pair_bound(bound)
-            ctx.c = new_c
-            ctx.visits += 1
-        elif min_idx >= 0 and min_other_sq < gc_sq:
-            # The window centroid sits strictly inside another state's
-            # basin: the environment transitioned.  Certify the window
-            # against that nearest state c' directly — every point is
-            # within ``spread`` of g, so d(p, c') <= d(g, c') + spread
-            # pre-move (+ delta2 post-move), and the margin against any
-            # third state (or the old stretch state, which does not move
-            # this window) is bounded below by ``second_min``.  Success
-            # hands the stretch off to c' without leaving the fast loop.
-            new_sid, target = ctx.others[min_idx]
-            new_c2 = list(target)
-            moved2_sq = 0.0
-            for t in range(dims):
-                c_t = target[t]
-                value = keep * c_t + alpha * goal[t]
-                new_c2[t] = value
+        moved: Dict[int, List[float]] = {}
+        steps: Dict[int, float] = {}
+        reaches = []
+        for target, goal, row, radius in zip(targets, goals, dists, radii):
+            new = []
+            moved_sq = 0.0
+            for c_t, g_t in zip(vecs[target], goal):
+                value = keep * c_t + alpha * g_t
+                new.append(value)
                 step = value - c_t
-                moved2_sq += step * step
-            delta2 = math.sqrt(moved2_sq)
-            reach2 = min_other + spread + delta2
-            second_min = min(math.sqrt(gc_sq), math.sqrt(second_sq))
-            pad2 = 1e-9 + 1e-12 * (reach2 + spread)
+                moved_sq += step * step
+            moved[target] = new
+            steps[target] = math.sqrt(moved_sq)
+            reaches.append(max(row[target], math.dist(goal, new)) + radius)
+        threshold = clusterer.spawn_threshold
+        for target, row, radius, reach in zip(targets, dists, radii, reaches):
+            pad = 1e-9 + 1e-12 * (reach + radius)
+            if not reach + pad <= threshold:
+                return False
+            limit = reach + radius + pad
+            for index, distance in enumerate(row):
+                if index != target and not limit < (
+                    distance - steps.get(index, 0.0)
+                ) * (1.0 - 1e-12) - 1e-9:
+                    return False
+        if len(groups) == 1:
+            # The one group's spread covers the overall mean, so the
+            # group certificate already puts it strictly nearest the
+            # target and within reach: no mean spawn.
+            observable = targets[0]
+        else:
+            # Eq. 2 against the post-move states: a unique nearest state
+            # in reach is the observable state, and no mean spawn.
+            overall = stat[4].tolist()
+            row = [
+                math.dist(overall, moved.get(index, vector))
+                for index, vector in enumerate(vecs)
+            ]
+            near = min(row)
+            observable = row.index(near)
+            second = min(
+                (d for index, d in enumerate(row) if index != observable),
+                default=math.inf,
+            )
+            pad = 1e-9 + 1e-12 * near
             if not (
-                reach2 + pad2 <= clusterer.spawn_threshold
-                and reach2 + spread + pad2
-                < second_min * (1.0 - 1e-12) - 1e-9
+                near + pad <= threshold
+                and near + pad < second * (1.0 - 1e-12) - 1e-9
             ):
                 return False
-            bound = clusterer.states.peek_decayed_pair_bound(delta2)
-            if bound is None or not bound >= clusterer.merge_threshold:
+        states = clusterer.states
+        bound = states.peek_decayed_pair_bound(
+            [steps[target] for target in targets]
+        )
+        if bound is None or not bound >= clusterer.merge_threshold:
+            # The oracle rescans the closest pair here; so does the
+            # stretch, over the post-move vectors.
+            bound = states.scanned_pair_bound(
+                [moved.get(index, vector) for index, vector in enumerate(vecs)]
+            )
+            if not bound >= clusterer.merge_threshold:
                 return False
-            clusterer.states.commit_pair_bound(bound)
-            if ctx.visits:
-                clusterer.states.apply_steady_motion(
-                    ctx.sid, ctx.c, ctx.visits
-                )
-            ctx.others[min_idx] = (ctx.sid, ctx.c)
-            ctx.sid = new_sid
-            ctx.c = new_c2
-            ctx.visits = 1
-        else:
-            return False
 
         # -- certified: commit the window ------------------------------
-        ctx.alarm_count += 1
+        states.commit_pair_bound(bound)
+        visits = ctx.visits
+        for target, new in moved.items():
+            vecs[target] = new
+            visits[target] += 1
+        if targets != ctx.targets:
+            ctx.retarget(targets)
+        pattern = ctx.pattern
+        assignments, correct, _ = pattern
+        ctx.count += 1
+        if len(groups) > 1:
+            ctx.log.append((window.index, stat[3], pattern))
         self._n_windows += 1
-        c_id = ctx.sid
-        n = len(ids_sorted)
         if ctx.filter_defer:
             ctx.filter_count += 1
             transitions: "tuple" = ()
         else:
-            raws = ctx.zeros.get(n)
-            if raws is None:
-                raws = ctx.zeros[n] = np.zeros(n, dtype=bool)
             transitions = tuple(
                 bank.update_batch(
-                    window.index, stat[1], raws, assume_sorted=True
+                    window.index, stat[1], ctx.raws, assume_sorted=True
                 )
             )
             for transition in transitions:
-                if transition.raised:  # pragma: no cover - all-False input
+                if transition.raised:
                     self.tracks.open_track(transition.sensor_id, window.index)
                 else:
                     self.tracks.close_track(transition.sensor_id, window.index)
-        self.tracks.record_window_batch(c_id, ids_sorted, [c_id] * n)
-        self.m_co.observe(c_id, c_id)
-        self.correct_sequence.append(c_id)
-        self.observable_sequence.append(c_id)
+            ctx.filter_defer = bank.quiescent_saturated(stat[1], ctx.raws)
+        observable_id = ctx.state_ids[observable]
+        self.tracks.record_window_batch(correct, ctx.ids, assignments)
+        self.m_co.observe(correct, observable_id)
+        self.correct_sequence.append(correct)
+        self.observable_sequence.append(observable_id)
         self._pending_results.append(
             (
                 window.index,
                 "steady",
-                c_id,
-                ids_sorted,
+                pattern,
+                ctx.ids,
                 stat[3],
                 transitions,
                 clusterer.n_states,
-                None,
+                observable_id,
             )
         )
         return True
 
     def _steady_exit(self, ctx: "_SteadyStretch") -> None:
         """Fold the deferred stretch state back into the live modules:
-        the Python-evolved centroid, the all-False alarm history runs,
-        and the quiescent filter-bank position advances."""
-        if ctx.visits:
-            assert self._clusterer is not None
-            self._clusterer.states.apply_steady_motion(
-                ctx.sid, ctx.c, ctx.visits
-            )
-        if ctx.alarm_count and ctx.steady_ids is not None:
+        the Python-evolved state vectors and their visits, the alarm
+        history runs and raw alarms in window order, and the saturated
+        filter-bank position advances."""
+        assert self._clusterer is not None
+        states = self._clusterer.states
+        for state_id, vector, visits in zip(ctx.state_ids, ctx.vecs, ctx.visits):
+            if visits:
+                states.apply_steady_motion(state_id, vector, visits)
+        if ctx.count:
             history = self._alarm_generator.history
-            tail = [False] * ctx.alarm_count
-            for sensor_id in ctx.steady_ids:
-                series = history.get(sensor_id)
-                if series is None:
-                    history[sensor_id] = list(tail)
-                else:
-                    series.extend(tail)
+            for sensor_id, raw in zip(ctx.ids, ctx.raws.tolist()):
+                history.setdefault(sensor_id, []).extend([raw] * ctx.count)
+            alarms = self._alarm_generator.alarms
+            for window_index, order_first, pattern in ctx.log:
+                alarms.extend(
+                    _pattern_alarms(window_index, ctx.ids, order_first, pattern)
+                )
         if ctx.filter_count:
             assert self._vector_bank is not None
             self._vector_bank.advance_quiescent(ctx.filter_count)
@@ -1068,37 +1149,38 @@ def _materialize_result(entry: tuple) -> WindowResult:
     """Build one :class:`WindowResult` from a deferred pending entry.
 
     Two entry shapes exist: the general fused-path tuple mirroring the
-    ``WindowResult`` fields, and the compact steady-stretch marker
-    (``entry[1] == "steady"``) holding just the unanimous state id and
-    sensor ordering — the identification and cluster-update objects a
-    unanimous window implies are reconstructed here, off the hot loop.
+    ``WindowResult`` fields, and the compact stretch marker
+    (``entry[1] == "steady"``) holding the window's partition pattern
+    (assignments in sorted sensor order, correct state, majority size),
+    the sensor ordering and the observable state — the identification,
+    cluster-update and raw-alarm objects that pattern implies are
+    reconstructed here, off the hot loop.
     """
     if entry[1] == "steady":
         (
             window_index,
             _,
-            state_id,
+            pattern,
             ids_sorted,
             order_first,
             transitions,
             n_model_states,
-            _,
+            observable,
         ) = entry
-        n = len(ids_sorted)
-        assignments = [state_id] * n
+        assignments, correct, majority_size = pattern
         identification = WindowIdentification(
-            observable_state=state_id,
-            correct_state=state_id,
-            sensor_states={ids_sorted[p]: state_id for p in order_first},
-            majority_size=n,
-            n_sensors=n,
+            observable_state=observable,
+            correct_state=correct,
+            sensor_states={ids_sorted[p]: assignments[p] for p in order_first},
+            majority_size=majority_size,
+            n_sensors=len(ids_sorted),
         )
         cluster_update = ClusterUpdate(
-            assignments=assignments,
+            assignments=list(assignments),
             spawned=[],
             merged=[],
-            sensor_assignments=assignments,
-            observable_state=state_id,
+            sensor_assignments=list(assignments),
+            observable_state=observable,
             mean_spawned=None,
         )
         return WindowResult(
@@ -1106,7 +1188,9 @@ def _materialize_result(entry: tuple) -> WindowResult:
             skipped=False,
             identification=identification,
             cluster_update=cluster_update,
-            raw_alarms=(),
+            raw_alarms=tuple(
+                _pattern_alarms(window_index, ids_sorted, order_first, pattern)
+            ),
             filter_transitions=transitions,
             n_model_states=n_model_states,
             learning_frozen=False,
@@ -1131,6 +1215,27 @@ def _materialize_result(entry: tuple) -> WindowResult:
         n_model_states=n_model_states,
         learning_frozen=frozen,
     )
+
+
+def _pattern_alarms(
+    window_index: int,
+    ids_sorted: Sequence[int],
+    order_first: Sequence[int],
+    pattern: tuple,
+) -> List[RawAlarm]:
+    """The raw alarms of one certified stretch window, in the window's
+    first-occurrence sensor order (``AlarmGenerator.process``'s)."""
+    assignments, correct, _ = pattern
+    return [
+        RawAlarm(
+            window_index=window_index,
+            sensor_id=ids_sorted[p],
+            sensor_state=assignments[p],
+            correct_state=correct,
+        )
+        for p in order_first
+        if assignments[p] != correct
+    ]
 
 
 def _window_stats(
@@ -1293,9 +1398,9 @@ def _batched_window_means(
         # Per-window point spread: the largest distance from the window
         # centroid (the group mean) to any of the window's points —
         # sensor means and the overall mean.  One whole-trace kernel;
-        # the steady-stretch certifier turns it into per-window spawn /
-        # unanimity bounds via the triangle inequality without ever
-        # touching the point arrays again.  Overflow/NaN just disables
+        # the stretch certifier turns it into a one-group window's spawn
+        # and assignment bounds via the triangle inequality without
+        # ever touching the point arrays again.  Overflow/NaN just disables
         # certification for that window (comparisons come out False).
         with np.errstate(over="ignore", invalid="ignore"):
             group_of_means = group_means[group_of]

@@ -48,6 +48,16 @@ def _tril_indices(n: int) -> "tuple[np.ndarray, np.ndarray]":
     return indices
 
 
+def _pair_matrix(matrix: np.ndarray) -> np.ndarray:
+    """``(M, M)`` pairwise state distances, upper triangle only (the
+    diagonal and below are ``inf``).  Callers hold
+    ``np.errstate(over="ignore")``."""
+    diff = matrix[:, None, :] - matrix[None, :, :]
+    distances = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
+    distances[_tril_indices(matrix.shape[0])] = np.inf
+    return distances
+
+
 @dataclass
 class ModelState:
     """One model state: a stable id plus a drifting attribute vector.
@@ -520,9 +530,7 @@ class StateSet:
             # and both produce bit-identical entries.
             or 2 * len(self._pair_dirty) >= m
         ):
-            diff = matrix[:, None, :] - matrix[None, :, :]
-            distances = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-            distances[_tril_indices(m)] = np.inf
+            distances = _pair_matrix(matrix)
             self._pair_matrix = distances
             self._pair_ids = list(ids)
             self._pair_dirty.clear()
@@ -556,22 +564,39 @@ class StateSet:
         self._pair_min_bound = best - abs(best) * 1e-12
         return ids[i], ids[j], best
 
-    def peek_decayed_pair_bound(self, delta: float) -> Optional[float]:
-        """The pair bound as it would stand after a move of ``delta``,
-        without committing it (same slack as :meth:`update_vector`)."""
+    def peek_decayed_pair_bound(
+        self, deltas: Sequence[float]
+    ) -> Optional[float]:
+        """The pair bound as it would stand after moves of ``deltas``,
+        one :meth:`update_vector` decay each in order (same slack),
+        without committing it."""
         bound = self._pair_min_bound
-        if bound is None:
-            return None
-        if math.isinf(bound):
-            # No pair existed at the last scan; a centroid move cannot
-            # create one, so the bound stays infinite (the IEEE decay
-            # would produce inf - inf = NaN and fail certification).
+        if bound is None or math.isinf(bound):
+            # An infinite bound means no pair existed at the last scan; a
+            # centroid move cannot create one, so it stays infinite (the
+            # IEEE decay would produce inf - inf = NaN and fail
+            # certification).
             return bound
-        return (bound - delta) - (abs(bound) + delta) * 1e-12
+        for delta in deltas:
+            bound = (bound - delta) - (abs(bound) + delta) * 1e-12
+        return bound
+
+    def scanned_pair_bound(self, vectors: Sequence[Sequence[float]]) -> float:
+        """The pair bound a :meth:`closest_pair` scan would leave if the
+        live states (id order) sat at ``vectors``, without moving them.
+
+        Same kernel and slack as the scan, so the value is bit-identical
+        to the bound the scan would store; ``inf`` under two states.
+        """
+        if len(vectors) < 2:
+            return math.inf
+        best = float(_pair_matrix(np.array(vectors, dtype=float)).min())
+        return best - abs(best) * 1e-12
 
     def commit_pair_bound(self, bound: Optional[float]) -> None:
         """Store a bound previously obtained from
-        :meth:`peek_decayed_pair_bound` (steady-stretch commit step)."""
+        :meth:`peek_decayed_pair_bound` or :meth:`scanned_pair_bound`
+        (stretch commit step)."""
         self._pair_min_bound = bound
 
     def apply_steady_motion(
@@ -579,11 +604,11 @@ class StateSet:
     ) -> None:
         """Write back a centroid that was evolved outside the set.
 
-        The fused pipeline's steady-stretch path advances one centroid's
-        Eq. 6 recurrence in Python floats (bit-identical arithmetic) and
-        folds the result back here on exit.  The caller has already
-        decayed the pair bound once per intermediate move, so this only
-        refreshes the vector caches and the visit count.
+        The fused pipeline's stretch path advances a centroid's Eq. 6
+        recurrence in Python floats (bit-identical arithmetic) and folds
+        the result back here on exit.  The caller has already
+        committed the pair bound of every intermediate move, so this
+        only refreshes the vector caches and the visit count.
         """
         state = self.get(state_id)
         state.vector = np.asarray(vector, dtype=float)

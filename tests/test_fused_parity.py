@@ -26,12 +26,18 @@ from repro.core.filtering import (
     SPRTFilter,
     VectorFilterBank,
 )
+from repro.core import pipeline as pipeline_module
+from repro.faults.attacks import DynamicCreationAttack, DynamicDeletionAttack
+from repro.faults.base import ActivationSchedule
+from repro.faults.campaign import CampaignSpec
+from repro.faults.errors import CalibrationFault, StuckAtFault
 from repro.sensornet.collector import windows_from_arrays
 from repro.traces import (
     GDITraceConfig,
     generate_gdi_trace_columnar,
     window_trace_columnar,
 )
+from repro.traces.gdi import build_environment
 
 FILTER_KINDS = ("k_of_n", "sprt", "cusum")
 SUPERVISOR_MODES = ("off", "warn", "repair")
@@ -94,6 +100,25 @@ def synthetic_windows(
     )
 
 
+#: Planted fault regimes (day-1 onset) whose windows split the network
+#: into a fixed sensor→state partition: the fault regime of §3.1.
+PLANTED = {
+    "stuck_at": (StuckAtFault(value=(15.0, 1.0)), [4]),
+    "calibration": (CalibrationFault(gains=(1.0 / 1.24, 1.16)), [4]),
+    "deletion": (DynamicDeletionAttack(), [1, 5, 8]),
+    "creation": (DynamicCreationAttack(trigger=(12.0, 94.0)), [1, 5, 8]),
+}
+
+
+def planted_trace(plan: str, n_days: int = 3, seed: int = 12):
+    corruptor, sensors = PLANTED[plan]
+    trace_config = GDITraceConfig(n_days=n_days, seed=seed)
+    spec = CampaignSpec(name=plan)
+    spec.plant(corruptor, sensors, ActivationSchedule(start_minutes=24 * 60.0))
+    injector = spec.build_injector(build_environment(trace_config))
+    return generate_gdi_trace_columnar(trace_config, corruption=injector)
+
+
 class TestTraceParity:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     @pytest.mark.parametrize("mode", SUPERVISOR_MODES)
@@ -102,6 +127,29 @@ class TestTraceParity:
         config = PipelineConfig(filter_kind=kind, supervisor_mode=mode)
         windows = window_trace_columnar(trace, config.window_minutes)
         assert_engines_identical(config, windows)
+
+    @pytest.mark.parametrize("plan", sorted(PLANTED))
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("mode", SUPERVISOR_MODES)
+    def test_planted_fault_trace(self, plan, kind, mode, monkeypatch):
+        config = PipelineConfig(filter_kind=kind, supervisor_mode=mode)
+        windows = window_trace_columnar(planted_trace(plan), config.window_minutes)
+        split_windows = []
+        certify = pipeline_module.DetectionPipeline._steady_step
+
+        def counting_step(self, window, stat, ctx, bank):
+            certified = certify(self, window, stat, ctx, bank)
+            if certified and len(ctx.groups) > 1:
+                split_windows.append(window.index)
+            return certified
+
+        monkeypatch.setattr(
+            pipeline_module.DetectionPipeline, "_steady_step", counting_step
+        )
+        assert_engines_identical(config, windows)
+        # Unsupervised runs must really certify split windows; supervised
+        # pipelines never open a stretch.
+        assert bool(split_windows) == (mode == "off")
 
 
 class TestSyntheticEdgeCases:

@@ -6,9 +6,10 @@ calls and folding them back (``_sync``) before anything reads pipeline
 state.  These tests pin that step to the oracle
 ``_process_window_reference`` with exact ``==`` on digests, JSON
 snapshots and per-window results: round-robin deployments, reads and
-checkpoints taken mid-stretch, supervised modes, the oracle fallback of
-a custom filter factory, the slow lane of message-backed and non-finite
-windows, and the one-window stats kernel itself.
+checkpoints taken mid-stretch, partition stretches (a faulty sensor in
+its own state next to the majority), supervised modes, the oracle
+fallback of a custom filter factory, the slow lane of message-backed and
+non-finite windows, and the one-window stats kernel itself.
 """
 
 from __future__ import annotations
@@ -335,6 +336,176 @@ class TestSupervisedAndFallback:
                 results = [stream.process_window(w) for w in windows]
                 oracle, oracle_results = run_oracle(config, windows)
                 assert_identical(stream, results, oracle, oracle_results)
+
+
+def partition_open(pipeline: DetectionPipeline) -> bool:
+    """True while a certified stretch over two or more state groups is open."""
+    return pipeline._steady is not None and len(pipeline._steady.groups) > 1
+
+
+#: Synthetic environment state and a distant fault position (farther
+#: than ``spawn_threshold`` apart, so a faulty sensor gets its own state).
+HOME = (20.0, 60.0)
+FAR = (45.0, 20.0)
+
+
+def scripted_windows(script, n_windows: int = 120, n_sensors: int = 8):
+    """Array windows whose sensor positions follow ``script``.
+
+    ``script(index, sensor)`` gives the sensor's true position in window
+    ``index``, or None when the sensor is silent that window; readings
+    add N(0, 0.3) noise, three per sensor and window.
+    """
+    rng = np.random.default_rng(0)
+    ts, sids, vals = [], [], []
+    for index in range(1, n_windows + 1):
+        for sensor in range(n_sensors):
+            base = script(index, sensor)
+            if base is None:
+                continue
+            for sample in range(3):
+                ts.append((index - 1) * 60.0 + 1.0 + sensor * 1e-3 + sample)
+                sids.append(sensor)
+                vals.append(np.asarray(base) + rng.normal(0.0, 0.3, 2))
+    ts_arr = np.asarray(ts, dtype=float)
+    sid_arr = np.asarray(sids)
+    val_arr = np.asarray(vals, dtype=float)
+    order = np.lexsort((sid_arr, ts_arr))
+    return windows_from_arrays(ts_arr[order], sid_arr[order], val_arr[order], 60.0)
+
+
+def stuck_pair(index: int, sensor: int):
+    """Sensors 2 and 5 stuck at ``FAR`` from window 30 on."""
+    return FAR if sensor in (2, 5) and index >= 30 else HOME
+
+
+class TestPartitionStretches:
+    """Stretches whose certified windows keep a split partition."""
+
+    @pytest.mark.parametrize(
+        "read",
+        (
+            lambda p: p.digest(),
+            lambda p: p.snapshot(),
+            lambda p: p.diagnose_all(),
+            lambda p: p.filter_bank.active_sensors(),
+            lambda p: list(p.alarm_generator.alarms),
+        ),
+        ids=("digest", "snapshot", "diagnose_all", "filter_bank", "alarms"),
+    )
+    def test_read_mid_partition_stretch(self, read):
+        windows = deployment_windows("stuck_at", seed=41)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        results = []
+        reads = 0
+        for position, window in enumerate(windows):
+            results.append(pipeline.process_window(window))
+            if partition_open(pipeline) and position % 5 == 0:
+                read(pipeline)
+                reads += 1
+        assert reads > 0
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_restore_mid_partition_stretch(self):
+        windows = deployment_windows("deletion", seed=42)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        split = None
+        for position, window in enumerate(windows):
+            pipeline.process_window(window)
+            if partition_open(pipeline) and pipeline._steady.count >= 2:
+                split = position + 1
+                break
+        assert split is not None
+        resumed = DetectionPipeline.restore(
+            json.loads(snapshot_json(pipeline)), config=config
+        )
+        tail = [resumed.process_window(w) for w in windows[split:]]
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(resumed, tail, oracle, oracle_results[split:])
+
+    def test_k_of_n_raise_inside_certified_window(self):
+        # The stuck pair's filters trip two windows after the split
+        # partition opens its stretch: inside a certified window, which
+        # must open both tracks before recording into them.
+        windows = scripted_windows(stuck_pair)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        results = []
+        raised_in_stretch = []
+        for window in windows:
+            before = pipeline._steady
+            results.append(pipeline.process_window(window))
+            certified = before is not None and pipeline._steady is before
+            if certified and len(before.groups) > 1:
+                raised_in_stretch.extend(
+                    t.sensor_id
+                    for t in results[-1].filter_transitions
+                    if t.raised
+                )
+        assert sorted(raised_in_stretch) == [2, 5]
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    @pytest.mark.parametrize("kind", ("sprt", "cusum"))
+    def test_sprt_and_cusum_never_quiesce(self, kind):
+        windows = deployment_windows("stuck_at", seed=43)
+        config = PipelineConfig(filter_kind=kind)
+        pipeline = DetectionPipeline(config)
+        results = []
+        opened = 0
+        for window in windows:
+            results.append(pipeline.process_window(window))
+            if partition_open(pipeline):
+                opened += 1
+                assert not pipeline._steady.filter_defer
+        assert opened > 0
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_majority_tie_falls_back(self):
+        # A 6/2 split opens a partition stretch; from window 60 the
+        # network splits 4/4, a tied majority no stretch may certify.
+        def tie(index, sensor):
+            if sensor < 2 and index >= 30 or sensor < 4 and index >= 60:
+                return FAR
+            return HOME
+
+        windows = scripted_windows(tie)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        results = []
+        opened = 0
+        for window in windows:
+            results.append(pipeline.process_window(window))
+            if window.index < 60:
+                opened += partition_open(pipeline)
+            else:
+                assert pipeline._steady is None
+        assert opened > 0
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_sensor_dropout_ends_the_stretch(self):
+        def dropout(index, sensor):
+            return None if sensor == 6 and index == 70 else stuck_pair(index, sensor)
+
+        windows = scripted_windows(dropout)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        results = []
+        ended = False
+        for window in windows:
+            before = pipeline._steady
+            results.append(pipeline.process_window(window))
+            if window.index == 70:
+                assert before is not None and len(before.groups) > 1
+                ended = pipeline._steady is not before
+        assert ended
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
 
 
 def assert_same_stats(ours, theirs) -> None:
