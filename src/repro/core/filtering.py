@@ -601,49 +601,81 @@ class VectorFilterBank:
         self._pos_sync = advanced
         self._updates[:live] += 1
 
-    def quiescent_saturated(
+    def fixed_raw_flips(
         self, sensor_ids: np.ndarray, raws: np.ndarray
-    ) -> bool:
-        """True when updates with these fixed ``raws`` over this exact id
-        set are pure positional advances.
+    ) -> "Optional[Dict[int, List[Tuple[int, bool]]]]":
+        """The filtered-alarm flips of the next ``n`` updates with the
+        fixed ``raws``, or None when the bank cannot predict them.
 
-        Holds for a lockstep k-of-n bank whose every ring is saturated
-        at its sensor's raw: count 0 (every cell False) for a False
-        sensor, count ``n`` (every cell True) for a True one, with the
-        active flag already at ``count >= k``.  Evicting and inserting
-        the same value then leaves counts, rings, and active flags
-        untouched — only the shared write position and the per-slot
-        update counters move.  ``sensor_ids`` must cover every live slot
-        in ascending order (the ``full`` shape), or partial updates
-        would desync positions.  SPRT/CUSUM statistics keep moving
-        under a fixed input, so they never qualify.
+        Holds for a lockstep k-of-n bank updated over exactly
+        ``sensor_ids`` (every live slot, ascending — the ``full``
+        shape): each update evicts a ring's oldest cell and inserts the
+        sensor's raw, so every count, and with it every active flag, is
+        known ``n`` updates ahead, and after ``n`` updates each ring
+        holds only its raw and nothing but the write position and the
+        update counters moves.  Returns ``{step: [(slot, raised), ...]}``
+        for the 0-based updates that flip a flag, slots ascending —
+        exactly the transitions :meth:`update_batch` would emit.
+        SPRT/CUSUM statistics keep moving under a fixed input, so they
+        never qualify.  Pair with :meth:`advance_fixed`.
         """
-        if self.kind != "k_of_n" or self._pos_sync is None:
-            return False
+        if self.kind != "k_of_n":
+            return None
+        # Slot lookup first: a newly seen sensor grows the bank and may
+        # break the lockstep.
         slots, full = self._slots_for(sensor_ids)
-        if not full or len(slots) == 0:
-            return False
+        start = self._pos_sync
+        if start is None or not full or len(slots) == 0:
+            return None
         live = len(slots)
-        # Plain-list comparisons: the banks are tiny, and this runs on
-        # every certified stretch window until the rings saturate.
-        flags = raws.tolist()
-        return self._active[:live].tolist() == flags and self._count[
-            :live
-        ].tolist() == [self.n if flag else 0 for flag in flags]
+        n, k = self.n, self.k
+        flips: Dict[int, List[Tuple[int, bool]]] = {}
+        # Plain lists: the banks are tiny, and most rings are already
+        # saturated at their raw (count 0 for False, n for True).
+        for slot, (ring, count, active, raw) in enumerate(
+            zip(
+                self._buf[:live].tolist(),
+                self._count[:live].tolist(),
+                self._active[:live].tolist(),
+                raws.tolist(),
+            )
+        ):
+            if count == (n if raw else 0) and active == (count >= k):
+                continue
+            for step in range(n):
+                count += raw - ring[(start + step) % n]
+                if (count >= k) != active:
+                    active = not active
+                    flips.setdefault(step, []).append((slot, active))
+        return flips
 
-    def advance_quiescent(self, count: int) -> None:
-        """Apply ``count`` deferred saturated windows in O(1).
+    def advance_fixed(self, raws: np.ndarray, count: int) -> None:
+        """Apply ``count`` deferred updates with the fixed ``raws``.
 
-        Only valid immediately after :meth:`quiescent_saturated`
-        returned True and no other update ran since: positions advance
-        ``count`` steps, update counters grow by ``count``, everything
-        else is provably unchanged.
+        Only valid after :meth:`fixed_raw_flips` returned a plan for
+        these raws and no other update ran since: each ring takes
+        ``min(count, n)`` copies of its raw, counts and active flags
+        follow, and positions and update counters advance ``count``
+        steps — the state ``count`` calls of :meth:`update_batch` leave.
         """
         if count <= 0:
             return
+        start = self._pos_sync
+        assert start is not None
         live = len(self._slot_of)
-        assert self._pos_sync is not None
-        advanced = (self._pos_sync + count) % self.n
+        n = self.n
+        cells = self._buf[:live]
+        column = raws[:, None]
+        # The written cells run from ``start`` for min(count, n) steps,
+        # wrapping at most once.
+        end = start + min(count, n)
+        cells[:, start:end] = column
+        if end > n:
+            cells[:, : end - n] = column
+        counts = self._count[:live]
+        counts[:] = cells.sum(axis=1)
+        np.greater_equal(counts, self.k, out=self._active[:live])
+        advanced = (start + count) % n
         self._pos[:live] = advanced
         self._pos_sync = advanced
         self._updates[:live] += count

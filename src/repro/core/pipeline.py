@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -46,25 +48,28 @@ from .classification import (
 from .clustering import ClusterUpdate, OnlineStateClusterer
 from .filtering import FilterBank, FilterTransition, VectorFilterBank
 from .identification import WindowIdentification, identify_window
-from .kernels import grouped_sums
+from .kernels import grouped_sums, pairwise_distances
 from .markov import MarkovModel, estimate_markov_model
 from .online_hmm import OnlineHMM
 from .tracks import ErrorAttackTrack, TrackManager
 
 class _SteadyStretch:
-    """Mutable context for one certified partition stretch.
+    """Mutable context for one certified stretch.
 
-    A stretch pins the sensor set and the sensor→state partition of the
-    window that opened it: ``groups`` lists the sorted sensor positions
-    of each state group in the oracle's first-occurrence order, and the
-    largest group (unique by construction) is the majority.  ``k = 1``
-    is the unanimous healthy stretch.  Every live state's vector evolves
-    here in Python floats (``vecs``, aligned with ``state_ids``) with
-    per-state deferred visit counts; alarm-history runs, raw alarms and
-    saturated filter advances are deferred too, and all of it is folded
-    back into the live modules at stretch exit.  A stretch stays open
-    across ``process_window`` calls until a window fails its certificate
-    or a reader forces ``DetectionPipeline._sync``.
+    A stretch keeps the sensor set of the certified window that opened
+    it and pins a sensor→state partition: ``groups`` lists the sorted
+    sensor positions of each state group in the oracle's
+    first-occurrence order, and the largest group (unique by
+    construction) is the majority.  ``k = 1`` is the unanimous healthy
+    stretch.  A window whose partition changed but still certifies
+    re-pins the stretch in place (:meth:`pin`).  Every live state's
+    vector evolves here in Python floats (``vecs``, aligned with
+    ``state_ids``) with per-state deferred visit counts; alarm-history
+    runs, raw alarms and planned k-of-n filter updates of the current
+    pin are deferred too.  The pin's deferred state is folded back at a
+    re-pin, and all of it at stretch exit.  A stretch stays open across
+    ``process_window`` calls until a window fails both certificates or
+    a reader forces ``DetectionPipeline._sync``.
     """
 
     __slots__ = (
@@ -80,51 +85,62 @@ class _SteadyStretch:
         "pattern",
         "count",
         "log",
-        "filter_defer",
+        "flips",
         "filter_count",
     )
 
     def __init__(
         self,
         ids: List[int],
-        groups: List[List[int]],
-        major: int,
         state_ids: List[int],
         vecs: List[List[float]],
-        targets: List[int],
     ) -> None:
-        #: the pinned sorted sensor ids (a different set ends the stretch)
+        #: the sorted sensor ids (a different set ends the stretch)
         self.ids = ids
-        self.groups = groups
-        self.group_of = [0] * len(ids)
-        for index, members in enumerate(groups):
-            for position in members:
-                self.group_of[position] = index
-        self.major = major
-        #: per-sorted-position raw alarm: fixed, since only the majority
-        #: group agrees with the correct state
-        self.raws = np.array(
-            [group != major for group in self.group_of], dtype=bool
-        )
         self.state_ids = state_ids
         self.vecs = vecs
         self.visits = [0] * len(state_ids)
+        self.groups: List[List[int]] = []
+        self.group_of: List[int] = []
+        self.major = 0
+        #: per-sorted-position raw alarm: fixed for a pin, since only
+        #: the majority group agrees with the correct state
+        self.raws = np.zeros(0, dtype=bool)
         #: ``state_ids`` index each group currently maps to
         self.targets: List[int] = []
         self.pattern: tuple = ()
-        self.retarget(targets)
-        #: certified windows so far
+        #: certified windows of the current pin
         self.count = 0
         #: ``(window_index, order_first, pattern)`` of every certified
         #: window with raw alarms, for the deferred ``RawAlarm`` log
         self.log: List[tuple] = []
-        #: True while the filter bank is saturated at ``raws``
-        self.filter_defer = False
-        #: filter windows deferred for ``advance_quiescent`` at exit
+        #: the k-of-n bank's planned flips under ``raws``
+        #: (``VectorFilterBank.fixed_raw_flips``); None runs every
+        #: window's filter update live
+        self.flips: "Optional[Dict[int, List[tuple]]]" = None
+        #: filter windows deferred for ``advance_fixed``
         self.filter_count = 0
 
+    def pin(
+        self, groups: List[List[int]], major: int, targets: List[int]
+    ) -> None:
+        """Pin a partition: ``groups`` (majority ``groups[major]``)
+        mapped to the ``state_ids`` indices ``targets``.  The caller has
+        folded the previous pin's raw-dependent deferred state."""
+        self.groups = groups
+        self.group_of = [0] * len(self.ids)
+        for index, members in enumerate(groups):
+            for position in members:
+                self.group_of[position] = index
+        self.major = major
+        self.raws = np.array(
+            [group != major for group in self.group_of], dtype=bool
+        )
+        self.retarget(targets)
+
     def retarget(self, targets: List[int]) -> None:
-        """Point the groups at new states: the window's compact pattern
+        """Point the pinned groups at the states a certified window
+        moved them to, and rebuild the window's compact pattern
         ``(assignments in sorted order, correct state, majority size)``."""
         self.targets = targets
         group_states = [self.state_ids[index] for index in targets]
@@ -242,11 +258,11 @@ class DetectionPipeline:
         """Fold the live fused state back into the scalar modules.
 
         Ends an open stretch (its deferred centroid motion and visits,
-        alarm-history runs and raw alarms, and saturated filter
-        advances).  With
-        ``filters`` it also folds the vector filter bank into the scalar
-        :class:`FilterBank` and drops it, so the caller may read or
-        mutate the scalar bank; the next fused step rebuilds the mirror.
+        alarm-history runs and raw alarms, and deferred k-of-n filter
+        updates).  With ``filters`` it also folds the vector filter bank
+        into the scalar :class:`FilterBank` and drops it, so the caller
+        may read or mutate the scalar bank; the next fused step rebuilds
+        the mirror.
         The ``clusterer``/``alarm_generator``/``filter_bank`` accessors
         call this, so every reader (digest, snapshot, diagnoses, models,
         the supervisor, the oracle) sees exactly the oracle's state.
@@ -421,23 +437,28 @@ class DetectionPipeline:
         return len(windows)
 
     def _fused_step(self, window: ObservationWindow, stat: "Optional[tuple]") -> None:
-        """One window through the fused engine: the stretch certificate
-        first, else the full fused step (which may open a stretch); the
-        oracle when the filter bank cannot be vectorized.
-        The caller holds ``np.errstate(over="ignore")``."""
+        """One window through the fused engine.
+
+        The open stretch's pinned-partition certificate first; else
+        (unsupervised) the window-derived certificate, which re-pins
+        the open stretch or opens one; else the stretch is folded back
+        and the full fused step runs.  The oracle serves filter banks
+        that cannot be vectorized.  The caller holds
+        ``np.errstate(over="ignore")``."""
         bank = self._live_vector_bank()
         if bank is None:
             self._process_window_reference(window)
             return
         steady = self._steady
+        if steady is not None and self._steady_step(window, stat, steady, bank):
+            return
+        if self.supervisor is None and self._window_step(window, stat, bank):
+            return
+        steady = self._steady
         if steady is not None:
-            if self._steady_step(window, stat, steady, bank):
-                return
             self._steady = None
             self._steady_exit(steady)
-        hint = self._process_window_fast(window, stat, bank)
-        if hint is not None and self.supervisor is None:
-            self._steady = self._steady_enter(hint, stat, bank)
+        self._process_window_fast(window, stat, bank)
 
     def _process_window_reference(self, window: ObservationWindow) -> WindowResult:
         """The per-window reference step: the fused engine's oracle.
@@ -558,13 +579,10 @@ class DetectionPipeline:
         window: ObservationWindow,
         stat: "Optional[tuple]",
         vector_bank: VectorFilterBank,
-    ) -> Optional[List[int]]:
-        """One full fused window step (mirrors ``_process_window_reference``).
-
-        Returns the window's state assignments (sorted sensor order)
-        when it qualifies as a stretch entry point (see
-        ``_steady_step``), else None.
-        """
+    ) -> None:
+        """One full fused window step (mirrors ``_process_window_reference``):
+        the clusterer, identification, alarm generator and vector
+        filter bank run on the live modules.  No stretch is open here."""
         self._n_windows += 1
         supervisor = self.supervisor
         per_sensor: Optional[Dict[int, np.ndarray]] = None
@@ -675,44 +693,34 @@ class DetectionPipeline:
         )
         if supervisor is not None:
             supervisor.after_window(self)
-            return None
-        # Stretch entry hint: a trusted window that kept its partition
-        # through the update (pre-update assignments equal the final
-        # ones) with no structural change is a candidate for the
-        # certified fast lane (see ``_steady_step``).
-        if (
-            trusted
-            and full_mean is not None
-            and cluster_update.mean_spawned is None
-            and not cluster_update.spawned
-            and not cluster_update.merged
-            and cluster_update.assignments == assignments
-        ):
-            return assignments
-        return None
 
-    # -- certified partition stretch ----------------------------------
+    # -- certified stretches ------------------------------------------
     #
     # The dominant regimes of a trace are a healthy network whose every
-    # sensor maps to one state, and, after a fault's onset, a fixed
-    # split: the faulty sensor (or the attacking coalition) sits in its
-    # own state while the majority tracks the environment (§3.1).
-    # Either way the sensor→state partition holds still for whole
-    # stretches of windows, nothing spawns or merges, and the only float
-    # state that evolves outside the filter/HMM modules is the vector of
-    # each group's state — one Eq. 6 recurrence
-    # ``v <- (1-alpha)*v + alpha*g`` per group that Python floats compute
-    # with the same two roundings per element as the oracle's NumPy
-    # expression, from group means ``g`` summed in the oracle's order.
+    # sensor maps to one state, and, after a fault's onset, a split: the
+    # faulty sensor (or the attacking coalition) sits in its own state
+    # while the majority tracks the environment (§3.1).  Most windows
+    # spawn and merge nothing, and the only float state that evolves
+    # outside the filter/HMM modules is the vector of each visited state
+    # — one Eq. 6 recurrence ``v <- (1-alpha)*v + alpha*g`` per group
+    # that Python floats compute with the same two roundings per element
+    # as the oracle's NumPy expression, from group means ``g`` summed in
+    # the oracle's order.
     #
     # The stretch path therefore skips the distance kernels and instead
-    # *proves*, per window and in a handful of scalar float ops, that
-    # the oracle would keep the partition.  For each group j with mean
-    # g_j, radius r_j (max distance from g_j to the group's points) and
-    # target t_j (the state nearest g_j, normally the group's own), let
-    # delta_X be the length of state X's Eq. 6 step this window (0 for a
-    # state no group targets).  The triangle inequality gives, for every
-    # point p of the group, against the pre-move and post-move states:
+    # *proves*, per window and in scalar float ops, what the oracle's
+    # clustering pass would do.  Two certificates share the group means,
+    # the Eq. 6 moves, the overall-mean check and the merge check; they
+    # differ in where the partition comes from.
+    #
+    # The pinned-partition certificate (``_steady_step``, tried first
+    # because it is the cheaper one) takes the open stretch's partition.
+    # For each group j with mean g_j, radius r_j (max distance from g_j
+    # to the group's points) and target t_j (the state nearest g_j,
+    # normally the group's own), let delta_X be the length of state X's
+    # Eq. 6 step this window (0 for a state no group targets).  The
+    # triangle inequality gives, for every point p of the group, against
+    # the pre-move and post-move states:
     #
     # * d(p, t_j) <= max(d(g_j, t_j), d(g_j, t_j')) + r_j =: reach_j,
     #   with t_j' the post-move target — so ``reach_j <=
@@ -723,58 +731,44 @@ class DetectionPipeline:
     #   strictly nearer t_j than X before and after the moves, and every
     #   argmin (the tie-break included) lands on t_j: the pre-update and
     #   final assignments both reproduce the partition.
-    # * a one-group window's radius (the batched spread) covers the
-    #   overall mean too; otherwise the overall mean is measured
-    #   directly against the post-move states: a unique nearest state
-    #   within ``spawn_threshold`` is the observable state, and no mean
-    #   spawn happens.
+    #
+    # Targets must stay distinct; a group whose centroid moved into
+    # another state's basin (an environment transition) retargets in
+    # place.
+    #
+    # The window-derived certificate (``_window_step``) runs when that
+    # one fails or no stretch is open, and reads the partition off the
+    # window instead: every sensor mean's nearest pre-move state lies
+    # within ``spawn_threshold`` and strictly nearer than the second
+    # nearest (no spawn, an unambiguous Eq. 3); the groups follow the
+    # oracle's first-occurrence order with a unique majority; and after
+    # the moves each point's distance to its own moved target, measured
+    # directly, stays strictly below min_X d(p, X) - max_X delta_X over
+    # the other states X, so the final assignments equal the pre-update
+    # ones.  It measures a distance per sensor and state (one kernel
+    # call) instead of per group, hence the fallback.  A success re-pins
+    # the open stretch in place — after folding the old pin's
+    # raw-dependent deferred state — or opens a stretch.
+    #
+    # Both certificates then check:
+    #
+    # * the overall mean: a one-group pinned window's radius (the
+    #   batched spread) covers it; otherwise it is measured directly
+    #   against the post-move states: a unique nearest state within
+    #   ``spawn_threshold`` is the observable state, and no mean spawn
+    #   happens.
     # * the certified pair-distance lower bound (see ``StateSet``),
     #   decayed once per moved state in the oracle's group order,
     #   staying >= merge_threshold rules out merges; where the oracle
     #   would rescan instead, the stretch runs the same scan over the
     #   post-move vectors and keeps its bound if that still clears it.
     #
-    # Targets must stay distinct, so the partition's grouping — and
-    # with it the unique majority and every sensor's raw alarm — is
-    # fixed for the stretch; a group whose centroid moved into another
-    # state's basin (an environment transition) retargets in place.
     # Every certificate is padded by an absolute + relative slack so
     # float rounding in these scalar evaluations can never certify a
-    # window the oracle would have handled differently.  Any window
-    # whose certificate fails simply exits the stretch (deferred state
-    # is written back first) and reprocesses through the full fused
-    # path — certification is a pure go/no-go, never a result.
-
-    def _steady_enter(
-        self,
-        assignments: List[int],
-        stat: tuple,
-        bank: VectorFilterBank,
-    ) -> "Optional[_SteadyStretch]":
-        """Open a stretch on the partition a full window just kept, or
-        return None when its majority is tied (Eq. 4's tie-break reads
-        state geometry the stretch does not track)."""
-        assert self._clusterer is not None
-        members: Dict[int, List[int]] = {}
-        for position, state_id in enumerate(assignments):
-            members.setdefault(state_id, []).append(position)
-        groups = list(members.values())
-        sizes = [len(group) for group in groups]
-        top = max(sizes)
-        if sizes.count(top) > 1:
-            return None
-        matrix, state_ids = self._clusterer.states._ensure_cache()
-        index_of = {state_id: index for index, state_id in enumerate(state_ids)}
-        ctx = _SteadyStretch(
-            stat[0],
-            groups,
-            sizes.index(top),
-            list(state_ids),
-            matrix.tolist(),
-            [index_of[state_id] for state_id in members],
-        )
-        ctx.filter_defer = bank.quiescent_saturated(stat[1], ctx.raws)
-        return ctx
+    # window the oracle would have handled differently.  A window that
+    # fails both exits the stretch (deferred state is written back
+    # first) and reprocesses through the full fused path — certification
+    # is a pure go/no-go, never a result.
 
     def _steady_step(
         self,
@@ -783,15 +777,15 @@ class DetectionPipeline:
         ctx: "_SteadyStretch",
         bank: VectorFilterBank,
     ) -> bool:
-        """Process one window inside a certified stretch.
+        """Process one window under the open stretch's pinned partition.
 
         Returns False — mutating nothing — when the window cannot be
-        certified; the caller then writes the deferred state back and
-        runs the full fused path on the same window.
+        certified against the pin; the caller then tries the
+        window-derived certificate (``_window_step``).
         """
         if stat is None or stat[0] != ctx.ids:
             # No fused stats, or a different sensor population: the
-            # deferred alarm/filter bookkeeping no longer applies.
+            # pinned partition no longer applies.
             return False
         full_mean = stat[5]
         spread = stat[6]
@@ -800,28 +794,20 @@ class DetectionPipeline:
         clusterer = self._clusterer
         assert clusterer is not None
         groups = ctx.groups
-        # Eq. 5 group means, bit-equal to the oracle's: a one-group
-        # window's is the precomputed full mean (and ``spread`` its
-        # radius), otherwise sequential column sums from 0.0 in row
-        # order — the accumulation ``np.mean(rows, axis=0)`` performs.
-        # Distances that only feed certificates use ``math.dist``; its
-        # rounding differs from the kernels' by far less than the pads.
+        # A one-group window's mean is the precomputed full mean and
+        # ``spread`` its radius.  Distances that only feed certificates
+        # use ``math.dist``; its rounding differs from the kernels' by
+        # far less than the pads.
         if len(groups) == 1:
             goals = [full_mean.tolist()]
             radii = [spread]
         else:
             rows = stat[2].tolist()
-            goals = []
-            radii = []
-            for group in groups:
-                sums = [0.0] * len(rows[0])
-                for position in group:
-                    for t, value in enumerate(rows[position]):
-                        sums[t] += value
-                size = len(group)
-                goal = [value / size for value in sums]
-                goals.append(goal)
-                radii.append(max(math.dist(rows[p], goal) for p in group))
+            goals = _group_means(rows, groups)
+            radii = [
+                max(math.dist(rows[p], goal) for p in group)
+                for group, goal in zip(groups, goals)
+            ]
         # Each group's target: the state nearest its centroid.
         vecs = ctx.vecs
         dists = []
@@ -832,77 +818,178 @@ class DetectionPipeline:
             targets.append(row.index(min(row)))
         if len(set(targets)) != len(targets):
             return False
-        # Eq. 6: each target steps toward its group mean (the step
-        # length exactly as ``StateSet.update_vector`` measures it).
-        # ``reach`` bounds the group's points' distance to the target,
-        # pre- and post-move.
-        alpha = clusterer.alpha
-        keep = 1.0 - alpha
-        moved: Dict[int, List[float]] = {}
-        steps: Dict[int, float] = {}
-        reaches = []
-        for target, goal, row, radius in zip(targets, goals, dists, radii):
-            new = []
-            moved_sq = 0.0
-            for c_t, g_t in zip(vecs[target], goal):
-                value = keep * c_t + alpha * g_t
-                new.append(value)
-                step = value - c_t
-                moved_sq += step * step
-            moved[target] = new
-            steps[target] = math.sqrt(moved_sq)
-            reaches.append(max(row[target], math.dist(goal, new)) + radius)
+        moved, steps = _eq6_moves(vecs, targets, goals, clusterer.alpha)
         threshold = clusterer.spawn_threshold
-        for target, row, radius, reach in zip(targets, dists, radii, reaches):
+        for target, goal, row, radius in zip(targets, goals, dists, radii):
+            # ``reach`` bounds the group's points' distance to the
+            # target, pre- and post-move.
+            reach = max(row[target], math.dist(goal, moved[target])) + radius
             pad = 1e-9 + 1e-12 * (reach + radius)
             if not reach + pad <= threshold:
                 return False
-            limit = reach + radius + pad
-            for index, distance in enumerate(row):
-                if index != target and not limit < (
-                    distance - steps.get(index, 0.0)
-                ) * (1.0 - 1e-12) - 1e-9:
-                    return False
+            # Every other state X stays farther than d(g_j, X) - delta_X,
+            # at least the nearest other distance minus the largest
+            # other step.
+            row[target] = math.inf
+            if not reach + radius + pad < (
+                min(row) - _other_step(steps, target)
+            ) * (1.0 - 1e-12) - 1e-9:
+                return False
         if len(groups) == 1:
             # The one group's spread covers the overall mean, so the
             # group certificate already puts it strictly nearest the
             # target and within reach: no mean spawn.
-            observable = targets[0]
+            observable: Optional[int] = targets[0]
         else:
-            # Eq. 2 against the post-move states: a unique nearest state
-            # in reach is the observable state, and no mean spawn.
-            overall = stat[4].tolist()
-            row = [
-                math.dist(overall, moved.get(index, vector))
-                for index, vector in enumerate(vecs)
-            ]
+            observable = _certified_observable(stat[4], vecs, moved, threshold)
+            if observable is None:
+                return False
+        bound = self._certified_pair_bound(vecs, moved, targets, steps)
+        if bound is None:
+            return False
+        self._steady_commit(window, stat, ctx, bank, targets, moved, observable, bound)
+        return True
+
+    def _window_step(
+        self,
+        window: ObservationWindow,
+        stat: "Optional[tuple]",
+        bank: VectorFilterBank,
+    ) -> bool:
+        """Process one window under the window-derived certificate.
+
+        Certified against the open stretch's state vectors (the live
+        states when none is open).  With the open stretch's sensor set
+        the stretch re-pins in place to the window's partition;
+        otherwise any open stretch exits and a new one opens on this
+        window.  Returns False — mutating nothing — when the window
+        cannot be certified.
+        """
+        clusterer = self._clusterer
+        if stat is None or stat[5] is None or clusterer is None:
+            return False
+        ctx = self._steady
+        if ctx is not None:
+            state_ids, vecs = ctx.state_ids, ctx.vecs
+        else:
+            matrix, live_ids = clusterer.states._ensure_cache()
+            if not np.isfinite(matrix).all():
+                # A NaN state would win the oracle's argmin, which the
+                # scalar minima here cannot mirror (Eq. 6 from finite
+                # states never makes one inside a stretch).
+                return False
+            state_ids, vecs = list(live_ids), matrix.tolist()
+        threshold = clusterer.spawn_threshold
+        rows = stat[2].tolist()
+        # Eq. 3 against the pre-move states, with margin: each sensor's
+        # nearest state lies within the spawn threshold and strictly
+        # nearer than the second nearest (``far``).  One distance kernel
+        # call; groups form in the oracle's first-occurrence order.
+        fars = []
+        members: Dict[int, List[int]] = {}
+        distances = pairwise_distances(
+            stat[2], np.array(vecs), self._kernel_scratch
+        ).tolist()
+        for position, row in enumerate(distances):
             near = min(row)
-            observable = row.index(near)
-            second = min(
-                (d for index, d in enumerate(row) if index != observable),
-                default=math.inf,
-            )
-            pad = 1e-9 + 1e-12 * near
+            target = row.index(near)
+            row[target] = math.inf
+            far = min(row)
+            limit = near + 1e-9 + 1e-12 * near
             if not (
-                near + pad <= threshold
-                and near + pad < second * (1.0 - 1e-12) - 1e-9
+                limit <= threshold and limit < far * (1.0 - 1e-12) - 1e-9
             ):
                 return False
-        states = clusterer.states
-        bound = states.peek_decayed_pair_bound(
-            [steps[target] for target in targets]
+            fars.append(far)
+            members.setdefault(target, []).append(position)
+        groups = list(members.values())
+        targets = list(members)
+        sizes = [len(group) for group in groups]
+        top = max(sizes)
+        if sizes.count(top) > 1:
+            # A tied majority: Eq. 4's tie-break reads state geometry
+            # the stretch does not track.
+            return False
+        goals = (
+            [stat[5].tolist()] if len(groups) == 1 else _group_means(rows, groups)
         )
-        if bound is None or not bound >= clusterer.merge_threshold:
-            # The oracle rescans the closest pair here; so does the
-            # stretch, over the post-move vectors.
+        moved, steps = _eq6_moves(vecs, targets, goals, clusterer.alpha)
+        # Eq. 3 after the moves: each point's distance to its own moved
+        # target, measured directly, stays strictly below its pre-move
+        # distance to any other state (at least ``far``) minus the
+        # largest step any other state takes.
+        for target, group in zip(targets, groups):
+            new = moved[target]
+            slack = _other_step(steps, target)
+            for position in group:
+                own = math.dist(rows[position], new)
+                if not own + 1e-9 + 1e-12 * own < (fars[position] - slack) * (
+                    1.0 - 1e-12
+                ) - 1e-9:
+                    return False
+        observable = _certified_observable(stat[4], vecs, moved, threshold)
+        if observable is None:
+            return False
+        bound = self._certified_pair_bound(vecs, moved, targets, steps)
+        if bound is None:
+            return False
+
+        # -- certified: re-pin the open stretch, or open one ------------
+        if ctx is not None and ctx.ids == stat[0]:
+            self._steady_fold(ctx)
+        else:
+            if ctx is not None:
+                self._steady = None
+                self._steady_exit(ctx)
+            ctx = self._steady = _SteadyStretch(stat[0], state_ids, vecs)
+        ctx.pin(groups, sizes.index(top), targets)
+        ctx.flips = bank.fixed_raw_flips(stat[1], ctx.raws)
+        self._steady_commit(window, stat, ctx, bank, targets, moved, observable, bound)
+        return True
+
+    def _certified_pair_bound(
+        self,
+        vecs: List[List[float]],
+        moved: Dict[int, List[float]],
+        targets: List[int],
+        steps: Dict[int, float],
+    ) -> Optional[float]:
+        """The pair bound after this window's moves, or None when a merge
+        cannot be ruled out.  Decays once per moved state in group order;
+        where the oracle would rescan, so does this, over the post-move
+        vectors."""
+        clusterer = self._clusterer
+        assert clusterer is not None
+        states = clusterer.states
+        merge = clusterer.merge_threshold
+        bound = states.peek_decayed_pair_bound([steps[t] for t in targets])
+        if bound is None or not bound >= merge:
             bound = states.scanned_pair_bound(
                 [moved.get(index, vector) for index, vector in enumerate(vecs)]
             )
-            if not bound >= clusterer.merge_threshold:
-                return False
+            if not bound >= merge:
+                return None
+        return bound
 
-        # -- certified: commit the window ------------------------------
-        states.commit_pair_bound(bound)
+    def _steady_commit(
+        self,
+        window: ObservationWindow,
+        stat: tuple,
+        ctx: "_SteadyStretch",
+        bank: VectorFilterBank,
+        targets: List[int],
+        moved: Dict[int, List[float]],
+        observable: int,
+        bound: float,
+    ) -> None:
+        """Record one certified window: move the stretch's states, feed
+        the filter bank (or emit a planned k-of-n bank's flips and defer
+        its update), the tracks and ``M_CO``, and log the compact pending
+        result."""
+        clusterer = self._clusterer
+        assert clusterer is not None
+        clusterer.states.commit_pair_bound(bound)
+        vecs = ctx.vecs
         visits = ctx.visits
         for target, new in moved.items():
             vecs[target] = new
@@ -912,24 +999,34 @@ class DetectionPipeline:
         pattern = ctx.pattern
         assignments, correct, _ = pattern
         ctx.count += 1
-        if len(groups) > 1:
+        if len(ctx.groups) > 1:
             ctx.log.append((window.index, stat[3], pattern))
         self._n_windows += 1
-        if ctx.filter_defer:
-            ctx.filter_count += 1
-            transitions: "tuple" = ()
-        else:
+        flips = ctx.flips
+        if flips is None:
             transitions = tuple(
                 bank.update_batch(
                     window.index, stat[1], ctx.raws, assume_sorted=True
                 )
             )
-            for transition in transitions:
-                if transition.raised:
-                    self.tracks.open_track(transition.sensor_id, window.index)
-                else:
-                    self.tracks.close_track(transition.sensor_id, window.index)
-            ctx.filter_defer = bank.quiescent_saturated(stat[1], ctx.raws)
+        else:
+            # A planned k-of-n bank: emit this update's flips, defer
+            # the update itself.
+            step = ctx.filter_count
+            ctx.filter_count = step + 1
+            transitions = tuple(
+                FilterTransition(
+                    sensor_id=ctx.ids[slot],
+                    window_index=window.index,
+                    raised=raised,
+                )
+                for slot, raised in flips.get(step, ())
+            )
+        for transition in transitions:
+            if transition.raised:
+                self.tracks.open_track(transition.sensor_id, window.index)
+            else:
+                self.tracks.close_track(transition.sensor_id, window.index)
         observable_id = ctx.state_ids[observable]
         self.tracks.record_window_batch(correct, ctx.ids, assignments)
         self.m_co.observe(correct, observable_id)
@@ -947,30 +1044,39 @@ class DetectionPipeline:
                 observable_id,
             )
         )
-        return True
 
-    def _steady_exit(self, ctx: "_SteadyStretch") -> None:
-        """Fold the deferred stretch state back into the live modules:
-        the Python-evolved state vectors and their visits, the alarm
-        history runs and raw alarms in window order, and the saturated
-        filter-bank position advances."""
-        assert self._clusterer is not None
-        states = self._clusterer.states
-        for state_id, vector, visits in zip(ctx.state_ids, ctx.vecs, ctx.visits):
-            if visits:
-                states.apply_steady_motion(state_id, vector, visits)
+    def _steady_fold(self, ctx: "_SteadyStretch") -> None:
+        """Fold the current pin's raw-dependent deferred state into the
+        live modules: the alarm-history runs and raw alarms in window
+        order, and the deferred filter-bank updates.  Runs before a
+        re-pin's new raws apply, and at stretch exit."""
         if ctx.count:
             history = self._alarm_generator.history
             for sensor_id, raw in zip(ctx.ids, ctx.raws.tolist()):
                 history.setdefault(sensor_id, []).extend([raw] * ctx.count)
+            ctx.count = 0
+        if ctx.log:
             alarms = self._alarm_generator.alarms
             for window_index, order_first, pattern in ctx.log:
                 alarms.extend(
                     _pattern_alarms(window_index, ctx.ids, order_first, pattern)
                 )
+            ctx.log = []
         if ctx.filter_count:
             assert self._vector_bank is not None
-            self._vector_bank.advance_quiescent(ctx.filter_count)
+            self._vector_bank.advance_fixed(ctx.raws, ctx.filter_count)
+            ctx.filter_count = 0
+
+    def _steady_exit(self, ctx: "_SteadyStretch") -> None:
+        """Fold the whole stretch back into the live modules: the
+        Python-evolved state vectors and their visits, then the pin's
+        deferred state (``_steady_fold``)."""
+        assert self._clusterer is not None
+        states = self._clusterer.states
+        for state_id, vector, visits in zip(ctx.state_ids, ctx.vecs, ctx.visits):
+            if visits:
+                states.apply_steady_motion(state_id, vector, visits)
+        self._steady_fold(ctx)
 
     def digest(self) -> str:
         """Content hash of everything the evaluation reads off a run.
@@ -1215,6 +1321,81 @@ def _materialize_result(entry: tuple) -> WindowResult:
         n_model_states=n_model_states,
         learning_frozen=frozen,
     )
+
+
+def _group_means(
+    rows: List[List[float]], groups: List[List[int]]
+) -> List[List[float]]:
+    """Eq. 5 group means, bit-equal to the oracle's
+    ``np.mean(rows, axis=0)`` for two or more attributes: sequential
+    column sums from 0.0 in row order (the accumulation that call
+    performs on strided columns; a left fold, since ``sum`` may
+    compensate), then one division."""
+    return [
+        [
+            reduce(add, column, 0.0) / len(group)
+            for column in zip(*[rows[p] for p in group])
+        ]
+        for group in groups
+    ]
+
+
+def _other_step(steps: Dict[int, float], target: int) -> float:
+    """The largest Eq. 6 step this window of any state but ``target``."""
+    return max(
+        [step for index, step in steps.items() if index != target],
+        default=0.0,
+    )
+
+
+def _eq6_moves(
+    vecs: List[List[float]],
+    targets: List[int],
+    goals: List[List[float]],
+    alpha: float,
+) -> "tuple[Dict[int, List[float]], Dict[int, float]]":
+    """Eq. 6 in Python floats: each target state steps toward its
+    group mean with the oracle's two roundings per element.  Returns
+    the moved vectors and the step lengths (exactly as
+    ``StateSet.update_vector`` measures them), keyed by ``vecs`` index."""
+    keep = 1.0 - alpha
+    moved: Dict[int, List[float]] = {}
+    steps: Dict[int, float] = {}
+    for target, goal in zip(targets, goals):
+        new = []
+        moved_sq = 0.0
+        for c_t, g_t in zip(vecs[target], goal):
+            value = keep * c_t + alpha * g_t
+            new.append(value)
+            step = value - c_t
+            moved_sq += step * step
+        moved[target] = new
+        steps[target] = math.sqrt(moved_sq)
+    return moved, steps
+
+
+def _certified_observable(
+    overall_mean: np.ndarray,
+    vecs: List[List[float]],
+    moved: Dict[int, List[float]],
+    threshold: float,
+) -> Optional[int]:
+    """Eq. 2 against the post-move states: the ``vecs`` index of the
+    overall mean's unique nearest state within ``threshold`` (so no
+    mean spawn), or None when the margin cannot be certified."""
+    overall = overall_mean.tolist()
+    row = [
+        math.dist(overall, moved.get(index, vector))
+        for index, vector in enumerate(vecs)
+    ]
+    near = min(row)
+    observable = row.index(near)
+    row[observable] = math.inf
+    second = min(row)
+    pad = 1e-9 + 1e-12 * near
+    if near + pad <= threshold and near + pad < second * (1.0 - 1e-12) - 1e-9:
+        return observable
+    return None
 
 
 def _pattern_alarms(

@@ -47,8 +47,10 @@ def snapshot_json(pipeline: DetectionPipeline) -> str:
     return json.dumps(pipeline.snapshot(), sort_keys=True, default=str)
 
 
-def assert_engines_identical(config: PipelineConfig, windows) -> None:
-    """Run both engines over ``windows``; demand exact equality."""
+def assert_engines_identical(config: PipelineConfig, windows) -> list:
+    """Run both engines over ``windows``; demand exact equality.
+
+    Returns the fused engine's per-window results."""
     oracle = DetectionPipeline(config)
     fused = DetectionPipeline(config)
     oracle_results = [oracle._process_window_reference(w) for w in windows]
@@ -59,6 +61,7 @@ def assert_engines_identical(config: PipelineConfig, windows) -> None:
     assert len(oracle_results) == len(fused_results)
     for ours, theirs in zip(oracle_results, fused_results):
         assert ours == theirs
+    return fused_results
 
 
 def synthetic_windows(
@@ -134,22 +137,44 @@ class TestTraceParity:
     def test_planted_fault_trace(self, plan, kind, mode, monkeypatch):
         config = PipelineConfig(filter_kind=kind, supervisor_mode=mode)
         windows = window_trace_columnar(planted_trace(plan), config.window_minutes)
+        certified = set()
         split_windows = []
-        certify = pipeline_module.DetectionPipeline._steady_step
 
-        def counting_step(self, window, stat, ctx, bank):
-            certified = certify(self, window, stat, ctx, bank)
-            if certified and len(ctx.groups) > 1:
-                split_windows.append(window.index)
-            return certified
+        def counting(name):
+            step = getattr(pipeline_module.DetectionPipeline, name)
 
-        monkeypatch.setattr(
-            pipeline_module.DetectionPipeline, "_steady_step", counting_step
+            def counted(self, window, *args):
+                ok = step(self, window, *args)
+                if ok:
+                    certified.add(window.index)
+                    if len(self._steady.groups) > 1:
+                        split_windows.append(window.index)
+                return ok
+
+            monkeypatch.setattr(pipeline_module.DetectionPipeline, name, counted)
+
+        counting("_steady_step")
+        counting("_window_step")
+        results = assert_engines_identical(config, windows)
+
+        def partition(result):
+            groups = {}
+            for sensor, state in result.identification.sensor_states.items():
+                groups.setdefault(state, set()).add(sensor)
+            return {frozenset(group) for group in groups.values()}
+
+        # Certified windows whose sensor partition differs from the
+        # previous window's: re-pins (or a stretch opened right after).
+        repins = sum(
+            current.window_index in certified
+            and not previous.skipped
+            and partition(current) != partition(previous)
+            for previous, current in zip(results, results[1:])
         )
-        assert_engines_identical(config, windows)
-        # Unsupervised runs must really certify split windows; supervised
-        # pipelines never open a stretch.
+        # Unsupervised runs must really certify split windows and
+        # partition changes; supervised pipelines never open a stretch.
         assert bool(split_windows) == (mode == "off")
+        assert (repins > 0) == (mode == "off")
 
 
 class TestSyntheticEdgeCases:
@@ -299,3 +324,73 @@ class TestKOfNRunningCount:
         restored = filter_from_state_dict(payload)
         assert restored._count == sum(restored._window)
         assert restored.active
+
+
+class TestFixedRawPlan:
+    """A stretch defers k-of-n updates under fixed raws: the planned
+    flips and the bulk advance must equal update-by-update."""
+
+    @pytest.mark.parametrize("deferred", range(0, 13))
+    def test_plan_and_advance_match_update_batch(self, deferred):
+        rng = np.random.default_rng(deferred)
+        sensor_ids = np.arange(6)
+        raws = np.array([True, False, True, False, False, True])
+        for warmup in range(5, 10):
+            planned = _vector_bank("k_of_n")
+            stepped = _vector_bank("k_of_n")
+            for index, window in enumerate(_raw_stream(warmup, 6, seed=warmup)):
+                planned.update_batch(index, sensor_ids, window)
+                stepped.update_batch(index, sensor_ids, window)
+            flips = planned.fixed_raw_flips(sensor_ids, raws)
+            emitted = {}
+            for step in range(deferred):
+                for transition in stepped.update_batch(100 + step, sensor_ids, raws):
+                    emitted.setdefault(step, []).append(
+                        (transition.sensor_id, transition.raised)
+                    )
+            planned.advance_fixed(raws, deferred)
+            assert {s: f for s, f in flips.items() if s < deferred} == emitted
+            assert planned.state_dict() == stepped.state_dict()
+            # ...and both keep stepping identically afterwards.
+            for index, window in enumerate(_raw_stream(4, 6, seed=rng.integers(99))):
+                assert planned.update_batch(200 + index, sensor_ids, window) == (
+                    stepped.update_batch(200 + index, sensor_ids, window)
+                )
+
+    def test_only_lockstep_k_of_n_plans(self):
+        sensor_ids = np.arange(4)
+        raws = np.zeros(4, dtype=bool)
+        for kind in ("sprt", "cusum"):
+            bank = _vector_bank(kind)
+            bank.update_batch(0, sensor_ids, raws)
+            assert bank.fixed_raw_flips(sensor_ids, raws) is None
+        bank = _vector_bank("k_of_n")
+        bank.update_batch(0, sensor_ids, raws)
+        # A window missing a live sensor cannot be planned.
+        assert bank.fixed_raw_flips(sensor_ids[:3], raws[:3]) is None
+        assert bank.fixed_raw_flips(sensor_ids, raws) == {}
+        # Nor can one whose new sensor breaks the rings' lockstep.
+        grown = np.arange(5)
+        assert bank.fixed_raw_flips(grown, np.zeros(5, dtype=bool)) is None
+
+
+class TestGroupMeans:
+    """The certificates' Eq. 5 group means must be the oracle's floats
+    (two or more attributes: single-attribute windows never certify,
+    and NumPy sums a contiguous column pairwise)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_equal_to_numpy_mean(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            n_rows = int(rng.integers(2, 12))
+            scale = 10.0 ** int(rng.integers(-3, 6))
+            rows = rng.normal(0.0, scale, (n_rows, int(rng.integers(2, 4))))
+            rows[rng.random(n_rows) < 0.2] *= -0.0  # signed zeros
+            order = rng.permutation(n_rows)
+            cut = int(rng.integers(1, n_rows))
+            groups = [sorted(order[:cut].tolist()), sorted(order[cut:].tolist())]
+            means = pipeline_module._group_means(rows.tolist(), groups)
+            for group, mean in zip(groups, means):
+                expected = np.mean(rows[group], axis=0).tolist()
+                assert [repr(x) for x in mean] == [repr(x) for x in expected]

@@ -7,9 +7,11 @@ state.  These tests pin that step to the oracle
 ``_process_window_reference`` with exact ``==`` on digests, JSON
 snapshots and per-window results: round-robin deployments, reads and
 checkpoints taken mid-stretch, partition stretches (a faulty sensor in
-its own state next to the majority), supervised modes, the oracle
-fallback of a custom filter factory, the slow lane of message-backed and
-non-finite windows, and the one-window stats kernel itself.
+its own state next to the majority), re-pins and stretches opened by
+the window-derived certificate, sensor means within 1e-9 of a decision
+boundary, supervised modes, the oracle fallback of a custom filter
+factory, the slow lane of message-backed and non-finite windows, and
+the one-window stats kernel itself.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DetectionPipeline, PipelineConfig
 from repro.core.filtering import FilterBank, KOfNFilter
@@ -349,12 +353,14 @@ HOME = (20.0, 60.0)
 FAR = (45.0, 20.0)
 
 
-def scripted_windows(script, n_windows: int = 120, n_sensors: int = 8):
+def scripted_windows(
+    script, n_windows: int = 120, n_sensors: int = 8, noise: float = 0.3
+):
     """Array windows whose sensor positions follow ``script``.
 
     ``script(index, sensor)`` gives the sensor's true position in window
     ``index``, or None when the sensor is silent that window; readings
-    add N(0, 0.3) noise, three per sensor and window.
+    add N(0, ``noise``) noise, three per sensor and window.
     """
     rng = np.random.default_rng(0)
     ts, sids, vals = [], [], []
@@ -366,7 +372,7 @@ def scripted_windows(script, n_windows: int = 120, n_sensors: int = 8):
             for sample in range(3):
                 ts.append((index - 1) * 60.0 + 1.0 + sensor * 1e-3 + sample)
                 sids.append(sensor)
-                vals.append(np.asarray(base) + rng.normal(0.0, 0.3, 2))
+                vals.append(np.asarray(base) + rng.normal(0.0, noise, 2))
     ts_arr = np.asarray(ts, dtype=float)
     sid_arr = np.asarray(sids)
     val_arr = np.asarray(vals, dtype=float)
@@ -460,7 +466,7 @@ class TestPartitionStretches:
             results.append(pipeline.process_window(window))
             if partition_open(pipeline):
                 opened += 1
-                assert not pipeline._steady.filter_defer
+                assert pipeline._steady.flips is None
         assert opened > 0
         oracle, oracle_results = run_oracle(config, windows)
         assert_identical(pipeline, results, oracle, oracle_results)
@@ -506,6 +512,301 @@ class TestPartitionStretches:
         assert ended
         oracle, oracle_results = run_oracle(config, windows)
         assert_identical(pipeline, results, oracle, oracle_results)
+
+
+def stream_pins(pipeline: DetectionPipeline, windows, after=None) -> tuple:
+    """Stream ``windows`` one at a time, noting how stretches changed.
+
+    Returns the results, the indices of windows that re-pinned the open
+    stretch in place (same stretch, new ``groups``) and the indices of
+    windows that opened a stretch by certificate.  ``after(pipeline,
+    window_index, repinned)`` runs after every window.
+    """
+    results, repinned, opened = [], [], []
+    for window in windows:
+        before = pipeline._steady
+        groups = before.groups if before is not None else None
+        results.append(pipeline.process_window(window))
+        now = pipeline._steady
+        repin = now is not None and now is before and now.groups is not groups
+        if repin:
+            repinned.append(window.index)
+        elif now is not None and now is not before:
+            opened.append(window.index)
+        if after is not None:
+            after(pipeline, window.index, repin)
+    return results, repinned, opened
+
+
+#: A third position, far from both HOME and FAR.
+NORTH = (20.0, 95.0)
+
+
+def migrating(index: int, sensor: int):
+    """The stuck pair, joined by sensor 6 from window 60 on."""
+    return FAR if sensor == 6 and index >= 60 else stuck_pair(index, sensor)
+
+
+def lagging_coalition(index: int, sensor: int):
+    """Sensors 1, 4 and 7 at NORTH (windows 20-39), at FAR (40-69),
+    back at NORTH from window 70 — sensor 7 one window late."""
+    if sensor not in (1, 4, 7) or index < 20:
+        return HOME
+    if index < 40 or index >= (71 if sensor == 7 else 70):
+        return NORTH
+    return FAR
+
+
+class TestRepinAndCertificateEntry:
+    """The window-derived certificate: partition changes re-pin the open
+    stretch in place, and certified windows open stretches directly."""
+
+    def test_sensor_migrates_into_the_faulty_state(self):
+        windows = scripted_windows(migrating)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        results, repinned, _ = stream_pins(pipeline, windows)
+        assert 60 in repinned
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_coalition_retargets_with_a_lagging_sensor(self):
+        # Window 70 splits the coalition over two states (three groups),
+        # window 71 reunites it in its new state: two re-pins in a row.
+        windows = scripted_windows(lagging_coalition)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        results, repinned, _ = stream_pins(pipeline, windows)
+        assert {70, 71} <= set(repinned)
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_stretch_opens_right_after_a_spawn(self):
+        # Window 30 spawns the stuck pair's state in a full step (which
+        # never opens a stretch); window 31 opens one by certificate.
+        windows = scripted_windows(stuck_pair)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        open_after = {}
+        results, _, opened = stream_pins(
+            pipeline,
+            windows,
+            lambda p, index, _: open_after.setdefault(index, p._steady),
+        )
+        assert results[29].cluster_update.spawned
+        assert open_after[30] is None
+        assert 31 in opened and len(open_after[31].groups) == 2
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_raw_flip_under_saturated_k_of_n(self):
+        # By window 60 the split stretch has deferred more than n k-of-n
+        # updates (every ring saturated at its raw) and its alarm-history
+        # runs; sensor 6's raw flips, so both fold before the new raws
+        # apply, and the new pin plans sensor 6's raise three updates on.
+        windows = scripted_windows(migrating)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        results = []
+        for window in windows:
+            before = pipeline._steady
+            if window.index == 60:
+                assert before is not None and before.flips is not None
+                assert before.filter_count >= config.filter_n
+                assert before.count > 0
+                flipped = before.raws.copy()
+            results.append(pipeline.process_window(window))
+            if window.index == 60:
+                assert pipeline._steady is before
+                assert (before.raws != flipped).tolist() == [
+                    sensor == 6 for sensor in range(8)
+                ]
+                assert before.filter_count == 1 and before.count == 1
+                assert before.flips == {config.filter_k - 1: [(6, True)]}
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    @pytest.mark.parametrize(
+        "read",
+        (
+            lambda p: p.digest(),
+            lambda p: p.snapshot(),
+            lambda p: p.diagnose_all(),
+            lambda p: p.filter_bank.active_sensors(),
+            lambda p: list(p.alarm_generator.alarms),
+        ),
+        ids=("digest", "snapshot", "diagnose_all", "filter_bank", "alarms"),
+    )
+    def test_read_right_after_a_repin(self, read):
+        windows = scripted_windows(lagging_coalition)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        reads = []
+
+        def after(p, index, repinned):
+            if repinned:
+                read(p)
+                reads.append(index)
+
+        results, _, _ = stream_pins(pipeline, windows, after)
+        assert reads
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_restore_right_after_a_repin(self):
+        windows = scripted_windows(migrating)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        split = None
+        for position, window in enumerate(windows):
+            before = pipeline._steady
+            groups = before.groups if before is not None else None
+            pipeline.process_window(window)
+            if before is not None and pipeline._steady is before and (
+                before.groups is not groups
+            ):
+                split = position + 1
+                break
+        assert split is not None
+        resumed = DetectionPipeline.restore(
+            json.loads(snapshot_json(pipeline)), config=config
+        )
+        tail = [resumed.process_window(w) for w in windows[split:]]
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(resumed, tail, oracle, oracle_results[split:])
+
+    @pytest.mark.parametrize("kind", ("sprt", "cusum"))
+    def test_sprt_and_cusum(self, kind):
+        windows = scripted_windows(migrating)
+        config = PipelineConfig(filter_kind=kind)
+        pipeline = DetectionPipeline(config)
+        results, repinned, _ = stream_pins(
+            pipeline,
+            windows,
+            lambda p, index, _: p._steady is None or p._steady.flips is None
+            or pytest.fail("a non-k-of-n bank deferred its updates"),
+        )
+        assert 60 in repinned
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_new_sensor_opens_an_unplanned_stretch(self):
+        # Sensor 8 first reports in window 50, inside a split stretch:
+        # the window certifies and opens a stretch over the new sensor
+        # set, and the grown k-of-n bank (out of lockstep) runs live.
+        def newcomer(index, sensor):
+            if sensor == 8:
+                return HOME if index >= 50 else None
+            return stuck_pair(index, sensor)
+
+        windows = scripted_windows(newcomer, n_sensors=9)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        open_after = {}
+        results, _, opened = stream_pins(
+            pipeline,
+            windows,
+            lambda p, index, _: open_after.setdefault(index, p._steady),
+        )
+        assert open_after[49] is not None and 50 in opened
+        assert len(open_after[50].ids) == 9 and open_after[50].flips is None
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_tied_majority_takes_the_full_step(self):
+        # A 5/3 split stretch; sensor 3 joins the minority at window 60,
+        # a 4/4 tie that neither certificate may certify.
+        def tie(index, sensor):
+            if sensor < 3 and index >= 30 or sensor == 3 and index >= 60:
+                return FAR
+            return HOME
+
+        windows = scripted_windows(tie)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        open_after = {}
+        results, _, _ = stream_pins(
+            pipeline,
+            windows,
+            lambda p, index, _: open_after.setdefault(index, p._steady),
+        )
+        assert len(open_after[59].groups) == 2
+        assert all(open_after[index] is None for index in range(60, 121))
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+    def test_post_move_flip_takes_the_full_step(self):
+        # Sensor 5 sits 0.05 nearer state A than state B, but A's Eq. 6
+        # step (its group jumped away) leaves it nearer B afterwards: the
+        # pre-update and final assignments differ, which only the full
+        # step reproduces.
+        west, east = (20.0, 60.0), (34.0, 60.0)
+
+        def flip(index, sensor):
+            if sensor >= 6 and index >= 10:
+                return east
+            if index == 41:
+                return (26.95, 60.0) if sensor == 5 else (17.0, 60.0)
+            return west
+
+        windows = scripted_windows(flip, n_windows=60, noise=0.0)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        open_after = {}
+        results, _, _ = stream_pins(
+            pipeline,
+            windows,
+            lambda p, index, _: open_after.setdefault(index, p._steady),
+        )
+        oracle, oracle_results = run_oracle(config, windows)
+        update = oracle_results[40].cluster_update
+        assert update.assignments[5] != update.sensor_assignments[5]
+        assert open_after[40] is not None and open_after[41] is None
+        assert_identical(pipeline, results, oracle, oracle_results)
+
+
+class TestBoundaryProperty:
+    """Sensor means within 1e-9 of a decision boundary: the streamed and
+    batched fused engines still equal the oracle exactly."""
+
+    @given(
+        kind=st.sampled_from(("voronoi", "spawn", "merge")),
+        eps=st.floats(-1e-9, 1e-9),
+        sensor=st.integers(0, 5),
+        at=st.integers(2, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_means_at_a_boundary(self, kind, eps, sensor, at):
+        # States west and east, seeded exactly.  ``voronoi``: one sensor
+        # at their midpoint in window ``at``; ``spawn``: one sensor at
+        # ``spawn_threshold`` from west; ``merge``: the two states sit
+        # ``merge_threshold`` apart throughout.  Readings are noiseless,
+        # so every mean lands exactly where the script puts it.
+        config = PipelineConfig()
+        west = np.array([20.0, 60.0])
+        gap = config.merge_threshold + eps if kind == "merge" else 14.0
+        east = west + [gap, 0.0]
+        moved = {
+            "voronoi": (west + east) / 2.0 + [eps, 0.0],
+            "spawn": west + [0.0, config.spawn_threshold + eps],
+            "merge": west,
+        }[kind]
+
+        def script(index, s):
+            if s >= 6:
+                return east
+            return moved if index == at and s == sensor else west
+
+        windows = scripted_windows(script, n_windows=12, noise=0.0)
+        oracle, stream, batch = (
+            DetectionPipeline(config, initial_states=[west, east])
+            for _ in range(3)
+        )
+        oracle_results = [oracle._process_window_reference(w) for w in windows]
+        stream_results = [stream.process_window(w) for w in windows]
+        batch.process_windows_fast(windows)
+        assert_identical(stream, stream_results, oracle, oracle_results)
+        assert_identical(batch, batch.results, oracle, oracle_results)
 
 
 def assert_same_stats(ours, theirs) -> None:
