@@ -26,7 +26,12 @@ SUPERVISOR_MODES = ("off", "warn", "repair", "raise")
 #: Fields older releases wrote into pipeline checkpoints;
 #: :meth:`PipelineConfig.from_json_dict` drops them so those payloads
 #: still restore.
-LEGACY_FIELDS = ("backend", "n_jobs")
+LEGACY_FIELDS = (
+    "backend",
+    "n_jobs",
+    "drop_non_finite",
+    "checkpoint_every_windows",
+)
 
 
 @dataclass
@@ -89,17 +94,6 @@ class PipelineConfig:
     #: the user-facing Markov models (Fig. 7's spurious-state handling).
     prune_visit_fraction: float = 0.02
 
-    # --- resilience ------------------------------------------------------
-    #: Drop non-finite (NaN/Inf) readings inside the pipeline before they
-    #: reach clustering and identification.  The collector already
-    #: quarantines such messages; this guards windows built by other
-    #: paths (batch windowing, hand-assembled fixtures).
-    drop_non_finite: bool = True
-    #: How often (in windows) a resilient deployment checkpoints its
-    #: pipeline; 0 disables periodic checkpointing.  Consumed by the
-    #: chaos harness and the CLI, not by the pipeline itself.
-    checkpoint_every_windows: int = 0
-
     # --- runtime supervision ---------------------------------------------
     #: Invariant supervisor mode (see repro.resilience.supervisor).
     #: ``off`` disables supervision entirely — the pipeline is then
@@ -132,8 +126,6 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.filter_kind not in FILTER_KINDS:
             raise ValueError(f"filter_kind must be one of {FILTER_KINDS}")
-        if self.checkpoint_every_windows < 0:
-            raise ValueError("checkpoint_every_windows must be non-negative")
         if self.supervisor_mode not in SUPERVISOR_MODES:
             raise ValueError(
                 f"supervisor_mode must be one of {SUPERVISOR_MODES}"

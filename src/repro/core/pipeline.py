@@ -370,9 +370,6 @@ class DetectionPipeline:
         Eq. 6 convex update would poison a centroid irrecoverably.
         """
         per_sensor = window.per_sensor_mean()
-        if not self.config.drop_non_finite:
-            overall = window.overall_mean() if per_sensor else None
-            return per_sensor, overall
         if not per_sensor:
             return {}, None
         # One vectorized finiteness check over the stacked means instead

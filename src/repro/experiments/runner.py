@@ -23,8 +23,11 @@ scenario is rebuilt from its own seed, so results are identical
 regardless of ``n_jobs`` and of any interleaving of crashes, retries,
 and resumes.
 
-Pool workers receive only the small spec payload; with a trace cache
-each worker loads a hit itself as zero-copy mmap views
+One scheduling loop serves every ``n_jobs``: with a single worker
+it runs each task in this process behind an in-process executor, so
+the serial path shares the pool's retry, quarantine and journal
+policy instead of copying it.  Pool workers receive only the small
+spec payload; with a trace cache each worker loads a hit itself
 (:meth:`~repro.traces.cache.TraceCache.load`) and replays it.
 """
 
@@ -493,23 +496,14 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     return max(1, int(n_jobs))
 
 
-#: Per-worker state seeded by :func:`_pool_worker_init`.
-_WORKER_STATE: Dict[str, object] = {}
-
-
 def _pool_worker_init() -> None:
     """One-time setup in each pool worker.
 
     Pre-imports the full experiment stack so spawned workers pay the
     (substantial) import cost once per worker instead of lazily inside
-    their first task, and seeds a per-worker RNG for any worker-local
-    jitter needs — task results themselves never read it (each scenario
-    rebuilds from its spec's own seed, keeping the determinism
-    contract).
+    their first task.
     """
     import repro.experiments  # noqa: F401  (side effect: warm imports)
-
-    _WORKER_STATE["rng"] = np.random.default_rng((os.getpid(), 0x5EED))
 
 
 def campaign_spec_key(spec: ScenarioSpec) -> str:
@@ -692,59 +686,23 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _execute_inline(
-    tasks: List[_Task],
-    cache_dir: "Optional[Union[str, Path]]",
-    policy: RetryPolicy,
-    chaos: Optional[WorkerChaos],
-    journal: Optional[CampaignJournal],
-    results: "List[Optional[ScenarioOutcome]]",
-    report: CampaignReport,
-) -> None:
-    """Serial in-process execution (``n_jobs=1`` / single task).
+class _InlineExecutor:
+    """In-process stand-in for the pool (``n_jobs=1`` / a single task).
 
-    Same retry/quarantine/journal semantics as the pool path, minus
-    deadlines (no second thread to enforce them) — chaos kills and
-    hangs degrade to :class:`SimulatedWorkerCrash` failures.  A
-    ``KeyboardInterrupt`` propagates after the journal is flushed by
-    the caller, leaving a resumable log.
+    ``submit`` runs the task to completion and hands back a finished
+    future, so no deadline can fire and the pool is never rebuilt.
     """
-    for task in tasks:
-        while True:
-            if journal is not None:
-                journal.record_start(
-                    task.key, _spec_fields(task.spec), task.attempt
-                )
-            result = _run_scenario_task(
-                _TaskPayload(
-                    spec=task.spec,
-                    key=task.key,
-                    attempt=task.attempt,
-                    cache_dir=cache_dir,
-                    chaos=chaos,
-                    inline=True,
-                )
-            )
-            if not isinstance(result, TaskError):
-                _complete_task(task, result, journal, results)
-                break
-            if result.kind == "worker-crash":
-                report.n_worker_crashes += 1
-            if task.attempt > policy.max_retries:
-                _quarantine_task(task, result, journal, results)
-                break
-            if journal is not None:
-                journal.record_retry(
-                    task.key, task.attempt, result.kind, result.message
-                )
-            report.n_retries += 1
-            task.attempt += 1
-            delay = policy.delay(task.key, task.attempt)
-            if delay > 0:
-                time.sleep(delay)
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
-def _execute_pool(
+def _execute(
     tasks: List[_Task],
     n_workers: int,
     cache_dir: "Optional[Union[str, Path]]",
@@ -754,7 +712,7 @@ def _execute_pool(
     results: "List[Optional[ScenarioOutcome]]",
     report: CampaignReport,
 ) -> None:
-    """Fault-tolerant process-pool execution.
+    """Fault-tolerant execution: one scheduling loop for every ``n_jobs``.
 
     Per-task futures with deadlines; at most ``n_workers`` in flight so
     a queued task's deadline never starts ticking before its worker
@@ -764,14 +722,26 @@ def _execute_pool(
     overrun tears the pool down too (the only way to reclaim a hung
     worker), but there the victims are identifiable and are requeued
     without consuming an attempt.
+
+    With one worker the tasks run in this process through
+    :class:`_InlineExecutor`: same retry/quarantine/journal policy,
+    minus deadlines — chaos kills and hangs degrade to
+    :class:`SimulatedWorkerCrash` failures.
     """
     clock = time.monotonic
+    inline = n_workers == 1
     ready: "Deque[_Task]" = deque(tasks)
     waiting: List[_Task] = []
     in_flight: Dict[Future, _Task] = {}
-    pool = ProcessPoolExecutor(
-        max_workers=n_workers, initializer=_pool_worker_init
-    )
+
+    def new_pool() -> "Union[ProcessPoolExecutor, _InlineExecutor]":
+        if inline:
+            return _InlineExecutor()
+        return ProcessPoolExecutor(
+            max_workers=n_workers, initializer=_pool_worker_init
+        )
+
+    pool = new_pool()
 
     def fail(task: _Task, error: TaskError) -> None:
         if error.kind == "timeout":
@@ -813,13 +783,44 @@ def _execute_pool(
             _complete_task(task, result, journal, results)
         return False
 
+    def submit_ready() -> bool:
+        """Fill free worker slots from ``ready``; True if pool broke."""
+        while ready and len(in_flight) < n_workers:
+            task = ready.popleft()
+            if journal is not None:
+                journal.record_start(
+                    task.key, _spec_fields(task.spec), task.attempt
+                )
+            try:
+                future = pool.submit(
+                    _run_scenario_task,
+                    _TaskPayload(
+                        spec=task.spec,
+                        key=task.key,
+                        attempt=task.attempt,
+                        cache_dir=cache_dir,
+                        chaos=chaos,
+                        inline=inline,
+                    ),
+                )
+            except BrokenProcessPool:
+                # A worker died since the last wait.  This task never
+                # ran, so it goes back without using up an attempt.
+                ready.appendleft(task)
+                return True
+            task.deadline = (
+                clock() + policy.task_timeout
+                if policy.task_timeout
+                else math.inf
+            )
+            in_flight[future] = task
+        return False
+
     def rebuild() -> None:
         nonlocal pool
         report.n_pool_rebuilds += 1
         _shutdown_pool(pool)
-        pool = ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_pool_worker_init
-        )
+        pool = new_pool()
 
     try:
         while ready or waiting or in_flight:
@@ -829,49 +830,27 @@ def _execute_pool(
                 if due:
                     waiting[:] = [t for t in waiting if t.not_before > now]
                     ready.extend(sorted(due, key=lambda t: t.index))
-            while ready and len(in_flight) < n_workers:
-                task = ready.popleft()
-                if journal is not None:
-                    journal.record_start(
-                        task.key, _spec_fields(task.spec), task.attempt
+            broken = submit_ready()
+            if not broken:
+                if not in_flight:
+                    # Everyone is backing off: sleep to the first release.
+                    pause = min(t.not_before for t in waiting) - clock()
+                    if pause > 0:
+                        time.sleep(pause)
+                    continue
+                horizon = min(t.deadline for t in in_flight.values())
+                if waiting:
+                    horizon = min(
+                        horizon, min(t.not_before for t in waiting)
                     )
-                future = pool.submit(
-                    _run_scenario_task,
-                    _TaskPayload(
-                        spec=task.spec,
-                        key=task.key,
-                        attempt=task.attempt,
-                        cache_dir=cache_dir,
-                        chaos=chaos,
-                        inline=False,
-                    ),
+                timeout = min(max(horizon - clock(), 0.0), 0.5)
+                done, _ = futures_wait(
+                    set(in_flight),
+                    timeout=timeout,
+                    return_when=FIRST_COMPLETED,
                 )
-                task.deadline = (
-                    clock() + policy.task_timeout
-                    if policy.task_timeout
-                    else math.inf
-                )
-                in_flight[future] = task
-            if not in_flight:
-                # Everyone is backing off: sleep to the first release.
-                pause = min(t.not_before for t in waiting) - clock()
-                if pause > 0:
-                    time.sleep(pause)
-                continue
-
-            horizon = min(t.deadline for t in in_flight.values())
-            if waiting:
-                horizon = min(
-                    horizon, min(t.not_before for t in waiting)
-                )
-            timeout = min(max(horizon - clock(), 0.0), 0.5)
-            done, _ = futures_wait(
-                set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-
-            broken = False
-            for future in done:
-                broken |= settle(future, in_flight.pop(future))
+                for future in done:
+                    broken |= settle(future, in_flight.pop(future))
             if broken:
                 # The pool died under the remaining in-flight tasks.
                 # Any that raced to completion first still have results;
@@ -955,9 +934,8 @@ def run_campaign(
     ``journal_dir`` enables the durable write-ahead log — a rerun
     against the same directory replays completed specs exactly-once
     and executes only the remainder.  ``cache_dir`` enables the
-    scenario trace cache: each worker replays a hit from zero-copy mmap
-    views of the entry and simulates a miss, storing its trace for later
-    campaigns.  A spec that fails every retry is quarantined: its
+    scenario trace cache: each worker replays a hit from the stored
+    entry and simulates a miss, storing its trace for later campaigns.  A spec that fails every retry is quarantined: its
     placeholder outcome (``error`` set, no digest) keeps the campaign
     order, and :attr:`CampaignReport.quarantined` surfaces it — a
     poison spec never discards finished results.
@@ -989,21 +967,16 @@ def run_campaign(
     ]
     try:
         if tasks:
-            if n_jobs == 1 or len(tasks) <= 1:
-                _execute_inline(
-                    tasks, cache_dir, policy, chaos, journal, results, report
-                )
-            else:
-                _execute_pool(
-                    tasks,
-                    min(n_jobs, len(tasks)),
-                    cache_dir,
-                    policy,
-                    chaos,
-                    journal,
-                    results,
-                    report,
-                )
+            _execute(
+                tasks,
+                min(n_jobs, len(tasks)),
+                cache_dir,
+                policy,
+                chaos,
+                journal,
+                results,
+                report,
+            )
     finally:
         if journal is not None:
             journal.close()

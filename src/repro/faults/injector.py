@@ -121,7 +121,6 @@ class FaultInjector:
         tick_times: np.ndarray,
         sensor_ids: np.ndarray,
         values: np.ndarray,
-        emitted: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Vectorised equivalent of streaming every message through ``__call__``.
 
@@ -133,22 +132,15 @@ class FaultInjector:
             ``(S,)`` sensor id of each column, in mote iteration order.
         values:
             ``(T, S, d)`` report grid, **modified in place**.
-        emitted:
-            Optional ``(T, S)`` mask of reports that exist (False for
-            dead/skipped motes).  Defaults to all-True.
 
-        Returns the ``(T, S)`` delivered mask: emitted reports that no
+        Returns the ``(T, S)`` delivered mask: reports that no
         corruptor suppressed.  The ground-truth ``events`` log receives
         exactly the entries (and order) the scalar path would append.
         """
         tick_times = np.asarray(tick_times, dtype=float)
         sensor_ids = np.asarray(sensor_ids)
         n_ticks, n_sensors, _ = values.shape
-        delivered = (
-            np.ones((n_ticks, n_sensors), dtype=bool)
-            if emitted is None
-            else emitted.copy()
-        )
+        delivered = np.ones((n_ticks, n_sensors), dtype=bool)
         # First-match-wins: a cell visited by an earlier injection is
         # consumed even when that injection left the report unchanged.
         claimed = np.zeros((n_ticks, n_sensors), dtype=bool)

@@ -7,10 +7,8 @@ replaces the paper's proprietary July-2003 traces; see DESIGN.md §2.
 from .cache import CachedTrace, TraceCache, canonical_spec_hash, scenario_spec
 from .columnar import (
     GENERATOR_VERSION,
-    ColumnarSimResult,
     ColumnarTrace,
     generate_gdi_trace_columnar,
-    simulate_windows_columnar,
     tick_schedule,
 )
 from .gdi import (
@@ -33,7 +31,6 @@ from .windows import (
 
 __all__ = [
     "CachedTrace",
-    "ColumnarSimResult",
     "ColumnarTrace",
     "GDITraceConfig",
     "GDI_DURATION_DAYS",
@@ -52,7 +49,6 @@ __all__ = [
     "non_empty_windows",
     "save_trace",
     "scenario_spec",
-    "simulate_windows_columnar",
     "tick_schedule",
     "trace_from_messages",
     "window_trace",

@@ -24,13 +24,10 @@ racing on a miss at worst regenerate the same bytes.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import mmap
 import os
 import tempfile
 import threading
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
@@ -68,69 +65,10 @@ def scenario_spec(name: str, n_days: int, seed: int) -> Dict[str, object]:
 _ARRAY_MEMBERS = ("timestamps", "sensor_ids", "values")
 
 
-def _read_entry_mapped(
+def _read_entry(
     path: Path,
 ) -> "Tuple[Dict[str, object], Dict[str, np.ndarray]]":
-    """Zero-copy reader for uncompressed (``ZIP_STORED``) entries.
-
-    Maps the file read-only once and returns ``np.frombuffer`` views
-    into the mapping for every array member — the hot campaign path
-    never materializes a fresh copy of the trace grids.  Raises on
-    compressed members, Fortran-order payloads, or any structural
-    surprise; the caller falls back to the materializing reader.
-    """
-    with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    view = memoryview(mapped)
-    with zipfile.ZipFile(mapped) as archive:
-        with archive.open("header.npy") as member:
-            header = json.loads(str(np.lib.format.read_array(member)))
-        arrays: Dict[str, np.ndarray] = {}
-        for name in _ARRAY_MEMBERS:
-            info = archive.getinfo(f"{name}.npy")
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise ValueError(f"{name} member is compressed")
-            # The local file header's name/extra lengths may differ
-            # from the central directory's, so the data offset comes
-            # from the local header itself: 30 fixed bytes + name +
-            # extra field.
-            local = bytes(view[info.header_offset : info.header_offset + 30])
-            if local[:4] != b"PK\x03\x04":
-                raise ValueError(f"bad local header for {name}")
-            name_len = int.from_bytes(local[26:28], "little")
-            extra_len = int.from_bytes(local[28:30], "little")
-            start = info.header_offset + 30 + name_len + extra_len
-            member_view = view[start : start + info.file_size]
-            arrays[name] = _npy_from_buffer(member_view)
-    return header, arrays
-
-
-def _npy_from_buffer(buffer: memoryview) -> np.ndarray:
-    """Parse one ``.npy`` payload into a read-only zero-copy view."""
-    # The header is tiny (dtype/shape dict, padded to a small multiple
-    # of 64 bytes); hand a copied prefix to numpy's header parser, then
-    # point frombuffer at the original mapping for the data itself.
-    prefix = io.BytesIO(bytes(buffer[: min(len(buffer), 4096)]))
-    version = np.lib.format.read_magic(prefix)
-    if version == (1, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(prefix)
-    elif version == (2, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_2_0(prefix)
-    else:
-        raise ValueError(f"unsupported npy version {version}")
-    if fortran or dtype.hasobject:
-        raise ValueError("only C-order plain dtypes map zero-copy")
-    count = 1
-    for extent in shape:
-        count *= int(extent)
-    array = np.frombuffer(buffer, dtype=dtype, count=count, offset=prefix.tell())
-    return array.reshape(shape)
-
-
-def _read_entry_materialized(
-    path: Path,
-) -> "Tuple[Dict[str, object], Dict[str, np.ndarray]]":
-    """Legacy reader: materialize every member through ``np.load``."""
+    """Read one entry's header and arrays through ``np.load``."""
     with np.load(path, allow_pickle=False) as payload:
         header = json.loads(str(payload["header"]))
         arrays = {name: payload[name] for name in _ARRAY_MEMBERS}
@@ -202,12 +140,8 @@ class TraceCache:
     def load(self, spec: Mapping[str, object]) -> Optional[CachedTrace]:
         """Return the cached trace for ``spec``, or None (counted).
 
-        Entries written by :meth:`store` (uncompressed ``.npz``) load
-        zero-copy: the file is mapped once and every array is a
-        read-only ``np.frombuffer`` view straight into the page cache —
-        no per-scenario materialization, and repeated loads of the same
-        entry share physical pages across processes.  Legacy compressed
-        entries fall back to the materializing ``np.load`` reader.
+        Every entry, stored or legacy-compressed, is read through
+        ``np.load``; the returned arrays are marked read-only.
 
         A corrupted or truncated entry (unreadable zip, missing arrays,
         undecodable header) is treated as a miss rather than poisoning
@@ -220,14 +154,7 @@ class TraceCache:
             self.misses += 1
             return None
         try:
-            try:
-                header, arrays = _read_entry_mapped(path)
-            except Exception:
-                # Legacy compressed entries (or anything the mapped
-                # reader cannot represent) take the materializing
-                # reader; corruption makes this raise too and lands in
-                # the quarantine path below.
-                header, arrays = _read_entry_materialized(path)
+            header, arrays = _read_entry(path)
             if header.get("cache_schema") != CACHE_SCHEMA_VERSION:
                 self.misses += 1
                 return None
@@ -295,8 +222,9 @@ class TraceCache:
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                # Uncompressed on purpose: ZIP_STORED members are what
-                # lets load() hand out zero-copy mmap views.
+                # Uncompressed on purpose: a hot replay then reads each
+                # array straight off disk instead of paying inflate on
+                # every load (legacy compressed entries still load).
                 np.savez(
                     handle,
                     header=np.asarray(header),

@@ -31,25 +31,16 @@ every content hash in :mod:`repro.traces.cache` and forces regeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..sensornet.collector import ArrayWindow, DeliveryStats
-from ..sensornet.environment import EnvironmentModel
-from ..sensornet.network import GilbertElliottLoss
 from .gdi import GDITraceConfig, build_environment
 from .schema import Trace, TraceRecord
 
 #: Bump on any behavioural change to trace generation (columnar or
 #: object path).  Part of every scenario-cache content hash.
 GENERATOR_VERSION = 1
-
-#: Canonical empty observation matrix for windows emitted before any
-#: report was accepted (the collector does not know the width yet).
-_EMPTY_OBSERVATIONS = np.zeros((0, 0))
-_EMPTY_OBSERVATIONS.flags.writeable = False
-
 
 def tick_schedule(duration_minutes: float, period_minutes: float) -> np.ndarray:
     """Sampling times of the simulator's run loop, bit-exactly.
@@ -309,257 +300,4 @@ def generate_gdi_trace_columnar(
         duplicated=np.zeros((n_ticks, n_sensors), dtype=bool),
         attribute_names=environment.attribute_names,
         metadata=metadata,
-    )
-
-
-@dataclass
-class ColumnarSimResult:
-    """What :func:`simulate_windows_columnar` produced."""
-
-    windows: List[ArrayWindow]
-    stats: DeliveryStats
-    n_ticks: int
-    end_minutes: float
-    n_in_flight_at_end: int
-
-
-def simulate_windows_columnar(
-    environment: EnvironmentModel,
-    *,
-    n_sensors: int,
-    duration_minutes: float,
-    window_minutes: float,
-    sample_period_minutes: float = 5.0,
-    noise_std: float = 0.35,
-    seed: int = 0,
-    loss_probability: float = 0.15,
-    corruption_probability: float = 0.01,
-    burst: Optional[GilbertElliottLoss] = None,
-    delay_probability: float = 0.0,
-    max_delay_minutes: float = 0.0,
-    duplicate_probability: float = 0.0,
-    corruption: Optional["FaultInjector"] = None,
-    clock_skew_minutes: Optional[Dict[int, float]] = None,
-) -> ColumnarSimResult:
-    """Columnar equivalent of a full impaired-link simulator run.
-
-    Reproduces ``NetworkSimulator.run`` against a
-    ``StarNetwork.impaired`` star and a hardened collector — including
-    burst loss, delay/reordering, duplication, and per-mote clock skew
-    (skew is applied to reported timestamps *after* the corruption
-    stage, mirroring the chaos harness's composition).  The emitted
-    :class:`ArrayWindow` sequence and :class:`DeliveryStats` are
-    bit-identical to the object run with the same seeds; the parity
-    suite pins this.
-
-    Not modelled (use the object simulator): mote ``skip_probability``,
-    battery death, and non-injector corruption stages.
-    """
-    tick_times = tick_schedule(duration_minutes, sample_period_minutes)
-    n_ticks = tick_times.size
-    sensor_ids = np.arange(n_sensors, dtype=np.int64)
-    # The run loop's clock *after* each tick (pop times), replayed with
-    # the same float accumulation.
-    end_minutes = (
-        float(tick_times[-1]) + sample_period_minutes
-        if n_ticks
-        else sample_period_minutes
-    )
-    pop_times = np.empty(n_ticks)
-    if n_ticks:
-        pop_times[:-1] = tick_times[1:]
-        pop_times[-1] = end_minutes
-
-    truth = environment.values_at(tick_times)
-    n_attributes = truth.shape[1]
-    values = np.empty((n_ticks, n_sensors, n_attributes))
-    for s in range(n_sensors):
-        mote_rng = np.random.default_rng((seed, s))
-        values[:, s, :] = truth + mote_rng.normal(
-            0.0, noise_std, size=(n_ticks, n_attributes)
-        )
-
-    if corruption is not None:
-        emitted = corruption.apply_columnar(tick_times, sensor_ids, values)
-    else:
-        emitted = np.ones((n_ticks, n_sensors), dtype=bool)
-
-    skew = np.zeros(n_sensors)
-    for sensor_id, offset in (clock_skew_minutes or {}).items():
-        skew[int(sensor_id)] = float(offset)
-    reported_ts = tick_times[:, None] + skew[None, :]
-
-    stats = DeliveryStats()
-    # Message-bearing deliveries: (tick, sensor, record_idx, arrival).
-    immediate: List[Tuple[int, int, int, float]] = []
-    delayed: List[Tuple[int, int, int, float]] = []
-    duplicated = np.zeros((n_ticks, n_sensors), dtype=bool)
-    for s in range(n_sensors):
-        link_rng = np.random.default_rng(int(seed) * 100_003 + s)
-        link_bad = bool(burst.start_bad) if burst is not None else False
-        attempts = np.nonzero(emitted[:, s])[0]
-        if attempts.size == 0:
-            continue
-        # Worst case per attempt: burst flip + loss + corruption +
-        # duplicate + 2×(delay decision, delay amount) = 8 doubles.
-        draws = link_rng.random(8 * attempts.size)
-        ptr = 0
-        for t in attempts:
-            now = tick_times[t]
-            if burst is not None:
-                flip = draws[ptr]
-                ptr += 1
-                if link_bad:
-                    if flip < burst.p_bad_to_good:
-                        link_bad = False
-                elif flip < burst.p_good_to_bad:
-                    link_bad = True
-                p_loss = burst.loss_bad if link_bad else burst.loss_good
-            else:
-                p_loss = loss_probability
-            if draws[ptr] < p_loss:
-                ptr += 1
-                stats.lost += 1
-                continue
-            ptr += 1
-            if draws[ptr] < corruption_probability:
-                ptr += 1
-                stats.malformed += 1
-                continue
-            ptr += 1
-            n_copies = 1
-            if duplicate_probability > 0.0:
-                if draws[ptr] < duplicate_probability:
-                    n_copies = 2
-                    duplicated[t, s] = True
-                ptr += 1
-            for record_idx in range(n_copies):
-                arrival = None
-                if delay_probability > 0.0:
-                    if draws[ptr] < delay_probability:
-                        ptr += 1
-                        # uniform(0, max) == 0.0 + max * next_double.
-                        arrival = now + 0.0 + max_delay_minutes * draws[ptr]
-                        ptr += 1
-                    else:
-                        ptr += 1
-                if arrival is None or arrival <= now:
-                    immediate.append((int(t), s, record_idx, now))
-                else:
-                    delayed.append((int(t), s, record_idx, arrival))
-
-    # The simulator heap-pushes delayed records in global message order
-    # (tick-major, mote order, record order) with a monotone tiebreak
-    # counter; equal arrivals pop in push order.
-    delayed.sort(key=lambda item: (item[0], item[1], item[2]))
-    # Receive schedule: (receive_tick, phase, sort_a, sort_b, t, s).
-    # Phase 0 = heap pops at tick start (ordered by arrival, counter);
-    # phase 1 = in-tick deliveries (ordered by mote, record index).
-    events: List[Tuple[int, int, float, int, int, int]] = []
-    n_in_flight = 0
-    for counter, (t, s, record_idx, arrival) in enumerate(delayed):
-        k_recv = int(np.searchsorted(tick_times, arrival, side="left"))
-        if k_recv >= n_ticks:
-            n_in_flight += 1
-            continue
-        events.append((k_recv, 0, float(arrival), counter, t, s))
-    for t, s, record_idx, now in immediate:
-        events.append((t, 1, float(s), record_idx, t, s))
-    events.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-
-    # Collector window/pop bookkeeping, replayed with the collector's
-    # exact float comparisons.
-    next_index_at_tick = np.empty(n_ticks, dtype=np.int64)
-    next_index = 1
-    for k in range(n_ticks):
-        next_index_at_tick[k] = next_index
-        while window_minutes * next_index <= pop_times[k]:
-            next_index += 1
-    n_windows = next_index - 1
-    boundaries = np.asarray(
-        [window_minutes * i for i in range(n_windows + 1)]
-    )
-    # Tick whose end-of-tick pop emits window i (1-based): the one just
-    # before the first tick that *starts* with next_index > i.
-    pop_tick = (
-        np.searchsorted(next_index_at_tick, np.arange(2, n_windows + 2)) - 1
-    )
-
-    # Replay the hardened ingest over the receive schedule.
-    seen_keys: Dict[int, set] = {}
-    accepted_t: List[int] = []
-    accepted_s: List[int] = []
-    first_accept_tick: Optional[int] = None
-    finite = np.isfinite(values).all(axis=2)
-    for k_recv, _phase, _a, _b, t, s in events:
-        ts = reported_ts[t, s]
-        if not finite[t, s]:
-            stats.non_finite += 1
-            continue
-        if ts < window_minutes * (next_index_at_tick[k_recv] - 1):
-            stats.late += 1
-            continue
-        key = (float(ts), t)  # mote sequence number == tick index here
-        keys = seen_keys.setdefault(s, set())
-        if key in keys:
-            stats.duplicate += 1
-            continue
-        keys.add(key)
-        stats.accepted += 1
-        if first_accept_tick is None:
-            first_accept_tick = k_recv
-        accepted_t.append(t)
-        accepted_s.append(s)
-
-    acc_t = np.asarray(accepted_t, dtype=np.int64)
-    acc_s = np.asarray(accepted_s, dtype=np.int64)
-    acc_ts = (
-        reported_ts[acc_t, acc_s] if acc_t.size else np.zeros(0)
-    )
-    # Window of each accepted row; rows past the last emitted window
-    # stay in the (never flushed) buffer.
-    win_idx = np.searchsorted(boundaries, acc_ts, side="right")
-    in_emitted = (win_idx >= 1) & (win_idx <= n_windows)
-    acc_t, acc_s, acc_ts, win_idx = (
-        acc_t[in_emitted],
-        acc_s[in_emitted],
-        acc_ts[in_emitted],
-        win_idx[in_emitted],
-    )
-    order = np.argsort(win_idx, kind="stable")  # keeps acceptance order
-    flat_values = np.ascontiguousarray(values[acc_t[order], acc_s[order]])
-    flat_sensor_ids = sensor_ids[acc_s[order]]
-    flat_values.flags.writeable = False
-    flat_sensor_ids.flags.writeable = False
-    sorted_win = win_idx[order]
-
-    windows: List[ArrayWindow] = []
-    for i in range(1, n_windows + 1):
-        lo = int(np.searchsorted(sorted_win, i, side="left"))
-        hi = int(np.searchsorted(sorted_win, i, side="right"))
-        width = (
-            n_attributes
-            if first_accept_tick is not None
-            and first_accept_tick <= pop_tick[i - 1]
-            else 0
-        )
-        observations = (
-            flat_values[lo:hi] if (hi > lo or width) else _EMPTY_OBSERVATIONS
-        )
-        windows.append(
-            ArrayWindow(
-                index=i,
-                start_minutes=float(boundaries[i - 1]),
-                end_minutes=float(boundaries[i]),
-                observations=observations,
-                sensor_id_array=flat_sensor_ids[lo:hi],
-                n_attributes=width,
-            )
-        )
-    return ColumnarSimResult(
-        windows=windows,
-        stats=stats,
-        n_ticks=n_ticks,
-        end_minutes=end_minutes,
-        n_in_flight_at_end=n_in_flight,
     )

@@ -28,19 +28,11 @@ from repro.faults import (
     RandomNoiseFault,
     StuckAtFault,
 )
-from repro.sensornet import (
-    CollectorNode,
-    GilbertElliottLoss,
-    Mote,
-    NetworkSimulator,
-    StarNetwork,
-)
 from repro.traces import (
     GDITraceConfig,
     build_environment,
     generate_gdi_trace,
     generate_gdi_trace_columnar,
-    simulate_windows_columnar,
     window_trace,
     window_trace_columnar,
 )
@@ -167,146 +159,6 @@ class TestCorruptionParity:
         assert_traces_identical(object_trace, columnar_trace)
         # Ground-truth logs must agree too: same events, same order.
         assert injector_columnar.events == injector_object.events
-
-
-def _object_impaired_run(
-    *,
-    n_sensors,
-    n_days,
-    seed,
-    window_minutes,
-    loss_probability,
-    corruption_probability,
-    burst,
-    delay_probability,
-    max_delay_minutes,
-    duplicate_probability,
-    injector_name,
-    clock_skew_minutes,
-):
-    """The oracle: a live simulator run against an impaired star."""
-    config = GDITraceConfig(n_days=n_days, seed=seed)
-    environment = build_environment(config)
-    motes = [
-        Mote(sensor_id=s, environment=environment, seed=seed)
-        for s in range(n_sensors)
-    ]
-    network = StarNetwork.impaired(
-        range(n_sensors),
-        loss_probability=loss_probability,
-        corruption_probability=corruption_probability,
-        burst=burst,
-        delay_probability=delay_probability,
-        max_delay_minutes=max_delay_minutes,
-        duplicate_probability=duplicate_probability,
-        seed=seed,
-    )
-    injector = (
-        _make_injector(environment, injector_name) if injector_name else None
-    )
-    skews = clock_skew_minutes or {}
-
-    def corruption(message):
-        if injector is not None:
-            message = injector(message)
-            if message is None:
-                return None
-        skew = skews.get(message.sensor_id)
-        if skew:
-            message = message.shifted(skew)
-        return message
-
-    simulator = NetworkSimulator(
-        environment=environment,
-        motes=motes,
-        collector=CollectorNode(window_minutes=window_minutes),
-        network=network,
-        corruption=corruption,
-    )
-    report = simulator.run(config.duration_minutes)
-    return report, simulator.collector.stats, injector
-
-
-IMPAIRMENT_CASES = {
-    "iid-loss-only": dict(),
-    "burst": dict(burst=GilbertElliottLoss()),
-    "delay-reorder": dict(delay_probability=0.25, max_delay_minutes=90.0),
-    "duplicates": dict(duplicate_probability=0.15),
-    "skew": dict(clock_skew_minutes={0: -30.0, 3: 12.5, 5: 90.0}),
-    "everything": dict(
-        burst=GilbertElliottLoss(),
-        delay_probability=0.15,
-        max_delay_minutes=120.0,
-        duplicate_probability=0.1,
-        clock_skew_minutes={1: -45.0, 4: 20.0},
-        injector_name="mixed",
-    ),
-}
-
-
-class TestImpairedSimulationParity:
-    @pytest.mark.parametrize("case", sorted(IMPAIRMENT_CASES))
-    def test_windows_and_stats(self, case):
-        params = dict(
-            n_sensors=6,
-            n_days=1,
-            seed=31,
-            window_minutes=60.0,
-            loss_probability=0.15,
-            corruption_probability=0.02,
-            burst=None,
-            delay_probability=0.0,
-            max_delay_minutes=0.0,
-            duplicate_probability=0.0,
-            injector_name=None,
-            clock_skew_minutes=None,
-        )
-        params.update(IMPAIRMENT_CASES[case])
-
-        report, stats, _ = _object_impaired_run(**params)
-
-        config = GDITraceConfig(n_days=params["n_days"], seed=params["seed"])
-        environment = build_environment(config)
-        injector = (
-            _make_injector(environment, params["injector_name"])
-            if params["injector_name"]
-            else None
-        )
-        result = simulate_windows_columnar(
-            environment,
-            n_sensors=params["n_sensors"],
-            duration_minutes=config.duration_minutes,
-            window_minutes=params["window_minutes"],
-            seed=params["seed"],
-            loss_probability=params["loss_probability"],
-            corruption_probability=params["corruption_probability"],
-            burst=params["burst"],
-            delay_probability=params["delay_probability"],
-            max_delay_minutes=params["max_delay_minutes"],
-            duplicate_probability=params["duplicate_probability"],
-            corruption=injector,
-            clock_skew_minutes=params["clock_skew_minutes"],
-        )
-
-        assert len(result.windows) == len(report.windows)
-        for ours, oracle in zip(result.windows, report.windows):
-            assert ours.index == oracle.index
-            assert ours.start_minutes == oracle.start_minutes
-            assert ours.end_minutes == oracle.end_minutes
-            assert ours.sensor_ids == oracle.sensor_ids
-            oracle_obs = oracle.observations
-            assert ours.observations.shape == oracle_obs.shape
-            assert np.array_equal(ours.observations, oracle_obs)
-            if not ours.is_empty:
-                oracle_means = oracle.per_sensor_mean()
-                ours_means = ours.per_sensor_mean()
-                assert list(ours_means) == list(oracle_means)
-                for sensor_id, mean in oracle_means.items():
-                    assert np.array_equal(ours_means[sensor_id], mean)
-        assert result.stats == stats
-        assert result.n_ticks == report.n_ticks
-        assert result.end_minutes == report.end_minutes
-        assert result.n_in_flight_at_end == report.n_in_flight_at_end
 
 
 class TestPipelineParity:

@@ -215,6 +215,14 @@ class TestConfigJson:
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_json_dict(payload)
 
+    def test_removed_knobs_are_dropped(self):
+        """Payloads written while the config still carried
+        ``drop_non_finite`` and ``checkpoint_every_windows`` restore."""
+        config = PipelineConfig(window_samples=8)
+        payload = config.to_json_dict()
+        payload.update(drop_non_finite=True, checkpoint_every_windows=5)
+        assert PipelineConfig.from_json_dict(payload) == config
+
     def test_only_legacy_fields_are_dropped(self):
         payload = PipelineConfig().to_json_dict()
         payload.update(backend="compiled", n_jobs=2, not_a_field=1)

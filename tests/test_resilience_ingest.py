@@ -240,9 +240,3 @@ class TestPipelineSanitizer:
         result = pipeline.process_window(window)
         assert result.skipped
         assert pipeline.n_non_finite_dropped == 2
-
-    def test_guard_can_be_disabled(self):
-        config = PipelineConfig(drop_non_finite=False)
-        pipeline = DetectionPipeline(config)
-        with pytest.raises(ValueError):
-            pipeline.process_window(window_with_nan())

@@ -349,3 +349,32 @@ class TestBackwardCompatibility:
         assert error.message == "ValueError: bad window"
         assert error.traceback_text.startswith("Traceback")
         assert "ValueError: bad window" in error.traceback_text
+
+
+class TestSubmitRace:
+    """A worker dying between the wait and the next submit."""
+
+    def test_broken_submit_requeues_and_rebuilds(
+        self, monkeypatch, serial_outcomes
+    ):
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.experiments import runner
+
+        submits = []
+
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submits.append(fn)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("worker died before submit")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        report = run_campaign(
+            SPECS, n_jobs=2, policy=RetryPolicy(max_retries=2, **FAST)
+        )
+        assert report.outcomes == serial_outcomes
+        assert report.n_pool_rebuilds >= 1
+        assert report.ok

@@ -80,15 +80,6 @@ class TestTraceCache:
         for array in (entry.timestamps, entry.sensor_ids, entry.values):
             assert not array.flags.writeable
 
-    def test_loaded_arrays_are_zero_copy_views(self, tmp_path, store_args):
-        """Fresh entries map straight into the file, no materialization."""
-        cache = TraceCache(tmp_path)
-        spec = scenario_spec("stuck_at", n_days=1, seed=9)
-        cache.store(spec, **store_args)
-        entry = cache.load(spec)
-        for array in (entry.timestamps, entry.sensor_ids, entry.values):
-            assert not array.flags.owndata
-
     def test_legacy_compressed_entry_still_loads(self, tmp_path, store_args):
         """Entries written as compressed .npz fall back to np.load."""
         cache = TraceCache(tmp_path)
