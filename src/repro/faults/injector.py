@@ -4,14 +4,15 @@ The :class:`FaultInjector` is the glue between :mod:`repro.faults` and
 the simulator: it is a valid
 :data:`~repro.sensornet.simulator.CorruptionStage`, holds the environment
 so adversaries can see Θ(t), dispatches per-sensor corruptors according
-to their activation schedules, and keeps a ground-truth log used by the
-evaluation metrics.
+to their activation schedules, and keeps a ground-truth log of every
+rewritten report (read by the tests; the evaluation metrics score
+against the planted injections instead).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +49,11 @@ class CorruptionEvent:
     malicious: bool
 
 
+#: One injection's rewritten cells in one :meth:`FaultInjector.apply_columnar`
+#: call: tick indices, mote indices, kind and malice.
+_EventBlock = Tuple[np.ndarray, np.ndarray, str, bool]
+
+
 @dataclass
 class FaultInjector:
     """Applies scheduled corruptors to the message stream.
@@ -64,7 +70,46 @@ class FaultInjector:
 
     environment: EnvironmentModel
     injections: List[Injection] = field(default_factory=list)
-    events: List[CorruptionEvent] = field(default_factory=list)
+    _events: List[CorruptionEvent] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    #: Per :meth:`apply_columnar` call not yet logged: its tick times,
+    #: sensor ids and event blocks; :attr:`events` materialises them.
+    _pending: List[Tuple[np.ndarray, np.ndarray, List[_EventBlock]]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+
+    @property
+    def events(self) -> List[CorruptionEvent]:
+        """The ground-truth log, in the order the scalar stream appends."""
+        self._flush_events()
+        return self._events
+
+    def _flush_events(self) -> None:
+        """Log pending columnar event blocks in global message order."""
+        for tick_times, sensor_ids, blocks in self._pending:
+            tick_idx = np.concatenate([block[0] for block in blocks])
+            sensor_idx = np.concatenate([block[1] for block in blocks])
+            block_idx = np.repeat(
+                np.arange(len(blocks)), [block[0].size for block in blocks]
+            )
+            # Tick-major, then mote order: the scalar log's order.  Each
+            # cell is claimed by one injection, so there are no ties.
+            order = np.lexsort((sensor_idx, tick_idx))
+            self._events.extend(
+                CorruptionEvent(
+                    sensor_id=sensor_id,
+                    timestamp=timestamp,
+                    kind=blocks[block][2],
+                    malicious=blocks[block][3],
+                )
+                for timestamp, sensor_id, block in zip(
+                    tick_times[tick_idx[order]].tolist(),
+                    sensor_ids[sensor_idx[order]].tolist(),
+                    block_idx[order].tolist(),
+                )
+            )
+        self._pending.clear()
 
     def add(
         self,
@@ -105,7 +150,8 @@ class FaultInjector:
                 message, truth, injection.schedule.elapsed(message.timestamp)
             )
             if corrupted is not None and corrupted.attributes != message.attributes:
-                self.events.append(
+                self._flush_events()
+                self._events.append(
                     CorruptionEvent(
                         sensor_id=message.sensor_id,
                         timestamp=message.timestamp,
@@ -135,7 +181,8 @@ class FaultInjector:
 
         Returns the ``(T, S)`` delivered mask: reports that no
         corruptor suppressed.  The ground-truth ``events`` log receives
-        exactly the entries (and order) the scalar path would append.
+        exactly the entries (and order) the scalar path would append;
+        they are kept as index arrays and built on first read.
         """
         tick_times = np.asarray(tick_times, dtype=float)
         sensor_ids = np.asarray(sensor_ids)
@@ -145,7 +192,7 @@ class FaultInjector:
         # consumed even when that injection left the report unchanged.
         claimed = np.zeros((n_ticks, n_sensors), dtype=bool)
         truth_all: Optional[np.ndarray] = None
-        pending: List["tuple[int, int, str, bool]"] = []
+        blocks: List[_EventBlock] = []
         for injection in self.injections:
             sensor_mask = np.isin(sensor_ids, list(injection.sensor_ids))
             if not sensor_mask.any():
@@ -175,27 +222,17 @@ class FaultInjector:
             values[tt, ss] = new_values
             delivered[tt, ss] = sub_delivered
             changed = np.any(new_values != sub_values, axis=1) & sub_delivered
-            for t_idx, s_idx in zip(tt[changed], ss[changed]):
-                pending.append(
+            if changed.any():
+                blocks.append(
                     (
-                        int(t_idx),
-                        int(s_idx),
+                        tt[changed],
+                        ss[changed],
                         injection.corruptor.kind,
                         injection.corruptor.malicious,
                     )
                 )
-        # Interleave the per-injection event blocks back into global
-        # message order (the scalar log's order).
-        pending.sort(key=lambda item: (item[0], item[1]))
-        for t_idx, s_idx, kind, malicious in pending:
-            self.events.append(
-                CorruptionEvent(
-                    sensor_id=int(sensor_ids[s_idx]),
-                    timestamp=float(tick_times[t_idx]),
-                    kind=kind,
-                    malicious=malicious,
-                )
-            )
+        if blocks:
+            self._pending.append((tick_times.copy(), sensor_ids.copy(), blocks))
         return delivered
 
     def events_by_sensor(self) -> Dict[int, List[CorruptionEvent]]:

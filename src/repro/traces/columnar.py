@@ -18,8 +18,8 @@ Why bit-exact equivalence is possible at all:
 * per-link loss/corruption draws are *conditionally* consumed (the
   corruption draw only happens when the packet was not lost), so the
   link stage pre-draws a bounded block of doubles from the private link
-  RNG and replays the scalar decision walk over it — over-drawing a
-  private Generator is unobservable;
+  RNG and locates the scalar walk's decisions in it in closed form —
+  over-drawing a private Generator is unobservable;
 * fault/attack kernels visit reports in message order (tick-major, then
   mote order), which :meth:`FaultInjector.apply_columnar` guarantees.
 
@@ -31,7 +31,7 @@ every content hash in :mod:`repro.traces.cache` and forces regeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -47,19 +47,24 @@ def tick_schedule(duration_minutes: float, period_minutes: float) -> np.ndarray:
 
     The simulator accumulates ``minutes += period`` rather than
     multiplying, so for pathological float periods ``k * period`` could
-    differ in the last ulp.  Replaying the accumulation keeps every
-    downstream timestamp identical.
+    differ in the last ulp.  ``np.add.accumulate`` is a sequential left
+    fold, so it reproduces that accumulation bit for bit; the schedule
+    is its prefix of values below ``duration_minutes``.
     """
     if duration_minutes <= 0:
         raise ValueError("duration_minutes must be positive")
     if period_minutes <= 0:
         raise ValueError("period_minutes must be positive")
-    ticks: List[float] = []
-    minutes = 0.0
-    while minutes < duration_minutes:
-        ticks.append(minutes)
-        minutes += period_minutes
-    return np.asarray(ticks, dtype=float)
+    n_steps = int(np.ceil(duration_minutes / period_minutes)) + 2
+    while True:
+        steps = np.full(n_steps, float(period_minutes))
+        steps[0] = 0.0
+        minutes = np.add.accumulate(steps)
+        if minutes[-1] >= duration_minutes:
+            break
+        # Accumulated rounding fell short of the estimate: fold further.
+        n_steps *= 2
+    return minutes[: np.searchsorted(minutes, duration_minutes, side="left")]
 
 
 @dataclass(eq=False)
@@ -192,29 +197,32 @@ def _iid_link_walk(
     loss_probability: float,
     corruption_probability: float,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Replay one i.i.d. link's decision walk over pre-drawn doubles.
+    """One i.i.d. link's decisions over pre-drawn doubles, in closed form.
 
     Returns boolean ``(lost, malformed)`` arrays aligned with
     ``attempt_ticks``.  The scalar link consumes one double for the
-    loss decision and a second one only when the packet survived; the
-    walk reproduces that conditional consumption exactly.
+    loss decision and a second one only when the packet survived, so
+    the draw after a loss (``draw < loss_probability``) — whether that
+    draw decided a loss or a corruption — always opens a decision, and
+    inside a run of surviving draws decisions and corruption draws
+    alternate.  Draw ``j`` is therefore a decision iff the run of
+    surviving draws ending at ``j - 1`` has even length; the first
+    ``n`` decisions are the walk.  Decision ``i`` sits at draw
+    ``<= 2 i``, so ``2 n`` doubles always suffice.
     """
     n = attempt_ticks.size
-    lost = np.zeros(n, dtype=bool)
-    malformed = np.zeros(n, dtype=bool)
     if n == 0:
-        return lost, malformed
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
     draws = link_rng.random(2 * n)
-    ptr = 0
-    for i in range(n):
-        if draws[ptr] < loss_probability:
-            lost[i] = True
-            ptr += 1
-            continue
-        ptr += 1
-        if draws[ptr] < corruption_probability:
-            malformed[i] = True
-        ptr += 1
+    survived = draws >= loss_probability
+    position = np.arange(2 * n)
+    # Last non-surviving draw at or before each position (-1: none).
+    last_lost = np.maximum.accumulate(np.where(survived, -1, position))
+    run = np.zeros(2 * n, dtype=np.int64)
+    run[1:] = position[:-1] - last_lost[:-1]
+    slot = np.flatnonzero(run % 2 == 0)[:n]
+    lost = ~survived[slot]
+    malformed = survived[slot] & (draws[slot + 1] < corruption_probability)
     return lost, malformed
 
 

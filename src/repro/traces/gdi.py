@@ -61,6 +61,11 @@ class GDITraceConfig:
             raise ValueError("n_days must be positive")
         if self.sample_period_minutes <= 0:
             raise ValueError("sample_period_minutes must be positive")
+        # The object generator's RadioLink rejects these too; checking
+        # here keeps the columnar generator from running on them.
+        for name in ("loss_probability", "corruption_probability"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
 
     @property
     def duration_minutes(self) -> float:

@@ -58,18 +58,27 @@ class TestCleanTraceParity:
         )
 
     def test_alternate_knobs(self):
-        config = GDITraceConfig(
-            n_sensors=4,
-            n_days=1,
-            sample_period_minutes=7.0,
-            noise_std=1.1,
-            loss_probability=0.3,
-            corruption_probability=0.05,
-            seed=99,
-        )
-        assert_traces_identical(
-            generate_gdi_trace(config), generate_gdi_trace_columnar(config)
-        )
+        # The link probabilities' extremes: the walk never (or always)
+        # takes the second, corruption draw.
+        for loss, corruption in [
+            (0.3, 0.05),
+            (0.0, 0.0),
+            (0.0, 1.0),
+            (1.0, 0.0),
+            (1.0, 1.0),
+        ]:
+            config = GDITraceConfig(
+                n_sensors=4,
+                n_days=1,
+                sample_period_minutes=7.0,
+                noise_std=1.1,
+                loss_probability=loss,
+                corruption_probability=corruption,
+                seed=99,
+            )
+            assert_traces_identical(
+                generate_gdi_trace(config), generate_gdi_trace_columnar(config)
+            )
 
     def test_delivered_arrays_match_messages(self):
         config = GDITraceConfig(n_days=1, seed=3)

@@ -62,6 +62,18 @@ class TestFaultInjector:
         assert event.kind == "stuck_at"
         assert not event.malicious
 
+    def test_scalar_events_follow_pending_columnar_events(self):
+        injector = FaultInjector(environment=ConstantEnvironment())
+        injector.add(StuckAtFault(value=(0.0, 0.0)), [3])
+        values = np.full((2, 4, 2), 20.0)
+        injector.apply_columnar(np.array([0.0, 5.0]), np.arange(4), values)
+        injector(msg(3, t=10.0))
+        assert [(e.sensor_id, e.timestamp) for e in injector.events] == [
+            (3, 0.0),
+            (3, 5.0),
+            (3, 10.0),
+        ]
+
     def test_adversary_sees_true_environment(self):
         env = ConstantEnvironment(attributes=(13.0, 93.0))
         injector = FaultInjector(environment=env)

@@ -9,6 +9,7 @@ from repro.traces import (
     Trace,
     TraceRecord,
     generate_gdi_trace,
+    generate_gdi_trace_columnar,
     load_trace,
     non_empty_windows,
     save_trace,
@@ -119,6 +120,13 @@ class TestGDIGenerator:
             GDITraceConfig(n_days=0)
         with pytest.raises(ValueError):
             GDITraceConfig(n_sensors=0)
+
+    @pytest.mark.parametrize("name", ["loss_probability", "corruption_probability"])
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+    def test_both_generators_reject_bad_link_probability(self, name, value):
+        for generate in (generate_gdi_trace, generate_gdi_trace_columnar):
+            with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\]"):
+                generate(GDITraceConfig(n_days=1, **{name: value}))
 
 
 class TestLoader:
