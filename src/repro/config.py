@@ -11,6 +11,7 @@ defaults recorded in DESIGN.md §6.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
@@ -32,6 +33,11 @@ LEGACY_FIELDS = (
     "drop_non_finite",
     "checkpoint_every_windows",
 )
+
+
+def _positive(value: float) -> bool:
+    """True for a finite value above zero (NaN and inf are not)."""
+    return math.isfinite(value) and value > 0
 
 
 @dataclass
@@ -116,10 +122,22 @@ class PipelineConfig:
             raise ValueError("n_sensors must be positive")
         if self.n_initial_states <= 0:
             raise ValueError("n_initial_states must be positive")
-        if self.window_samples <= 0:
+        # A NaN window length yields no windows (a silent clean
+        # verdict), an infinite one never closes a window.
+        if not _positive(self.window_samples):
             raise ValueError("window_samples must be positive")
-        if self.sample_period_minutes <= 0:
+        if not _positive(self.sample_period_minutes):
             raise ValueError("sample_period_minutes must be positive")
+        # The clusterer and the k-of-n filter check these too, but only
+        # once the first window arrives; fail here, with their messages.
+        if not (_positive(self.spawn_threshold) and _positive(self.merge_threshold)):
+            raise ValueError("thresholds must be positive")
+        if self.merge_threshold >= self.spawn_threshold:
+            raise ValueError("merge_threshold must be below spawn_threshold")
+        if self.max_states < 2:
+            raise ValueError("max_states must be at least 2")
+        if not 1 <= self.filter_k <= self.filter_n:
+            raise ValueError("need 1 <= k <= n")
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:

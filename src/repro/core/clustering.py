@@ -24,10 +24,13 @@ one batched query over the post-update state set, so Eqs. 2–4 never
 re-scan the states.  Every decision (tie-breaks, spawn/merge order,
 update arithmetic) is bit-identical to the scalar reference
 implementation; ``tests/test_perf_kernels.py`` pins the equivalence.
+The fused pipeline's full step and its per-window reference oracle make
+the same ``update(observations, overall_mean=...)`` call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -105,7 +108,10 @@ class OnlineStateClusterer:
     ):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if spawn_threshold <= 0 or merge_threshold <= 0:
+        if not all(
+            math.isfinite(threshold) and threshold > 0
+            for threshold in (spawn_threshold, merge_threshold)
+        ):
             raise ValueError("thresholds must be positive")
         if merge_threshold >= spawn_threshold:
             raise ValueError("merge_threshold must be below spawn_threshold")
@@ -118,9 +124,6 @@ class OnlineStateClusterer:
         self.states = StateSet(initial_vectors)
         if len(self.states) == 0:
             raise ValueError("need at least one initial state")
-        #: Reused ``(N+1, d)`` buffer for the fused mean+observations
-        #: query (reallocated only when the window shape changes).
-        self._points_scratch: Optional[np.ndarray] = None
 
     # -- queries ---------------------------------------------------------
 
@@ -175,9 +178,6 @@ class OnlineStateClusterer:
         self,
         observations: np.ndarray,
         overall_mean: Optional[np.ndarray] = None,
-        *,
-        trusted: bool = False,
-        full_mean: Optional[np.ndarray] = None,
     ) -> ClusterUpdate:
         """Run one full clustering pass over a window's observations.
 
@@ -192,18 +192,6 @@ class OnlineStateClusterer:
             the post-update state set, replicating exactly what a
             subsequent ``maybe_spawn`` + ``identify_window`` pair used to
             do in separate scans.
-        trusted:
-            The caller certifies ``observations`` is a non-empty all-
-            finite float ``(N, d)`` array, ``overall_mean`` a finite
-            float ``(d,)`` array, and that it already holds
-            ``np.errstate(over="ignore")`` — the fused pipeline verifies
-            all three in its whole-trace prepass, so the per-window
-            coercions, finiteness guards, and fp-state saves are skipped.
-        full_mean:
-            Optional precomputed ``np.mean(observations, axis=0)``
-            (bit-identical, e.g. the prepass's grouped ``bincount``
-            sums).  Used by the Eq. 6 learning update when every row
-            lands in a single group — the common healthy window.
 
         Returns
         -------
@@ -211,8 +199,6 @@ class OnlineStateClusterer:
             Assignments (by pre-update positions), spawned and merged
             state ids, and the post-update identification inputs.
         """
-        if trusted:
-            return self._update_inner(observations, overall_mean, True, full_mean)
         observations = np.atleast_2d(np.asarray(observations, dtype=float))
         if observations.size == 0:
             return ClusterUpdate(assignments=[], spawned=[], merged=[])
@@ -225,14 +211,10 @@ class OnlineStateClusterer:
         # saturated centroid's self-distance is inf - inf = NaN on the
         # pair-matrix diagonal, which the closest-pair scan masks).
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._update_inner(observations, overall_mean, False, full_mean)
+            return self._update_inner(observations, overall_mean)
 
     def _update_inner(
-        self,
-        observations: np.ndarray,
-        overall_mean: Optional[np.ndarray],
-        mean_checked: bool,
-        full_mean: Optional[np.ndarray] = None,
+        self, observations: np.ndarray, overall_mean: Optional[np.ndarray]
     ) -> ClusterUpdate:
         # One (N, M) distance matrix against the pre-window states feeds
         # both the sequential spawn checks and the Eq. 3 assignments.
@@ -241,7 +223,7 @@ class OnlineStateClusterer:
         assignments = self._assign_with_spawned(
             observations, base_distances, base_ids, spawned
         )
-        self._apply_learning_update(observations, assignments, full_mean)
+        self._apply_learning_update(observations, assignments)
         merged = self._merge_close_states()
 
         mean_spawned: Optional[int] = None
@@ -255,24 +237,10 @@ class OnlineStateClusterer:
             # subtract/square/sum as a full recompute, and the new id is
             # the largest so column order (and the argmin tie-break)
             # matches a rebuilt matrix bit-for-bit.
-            if not mean_checked:
-                overall_mean = np.asarray(overall_mean, dtype=float)
-                if not np.all(np.isfinite(overall_mean)):
-                    raise ValueError(
-                        "cannot spawn a state at a non-finite position"
-                    )
-            n_rows = observations.shape[0]
-            scratch = self._points_scratch
-            if scratch is None or scratch.shape != (
-                n_rows + 1,
-                observations.shape[1],
-            ):
-                scratch = self._points_scratch = np.empty(
-                    (n_rows + 1, observations.shape[1])
-                )
-            scratch[:n_rows] = observations
-            scratch[n_rows] = overall_mean
-            points = scratch
+            overall_mean = np.asarray(overall_mean, dtype=float)
+            if not np.all(np.isfinite(overall_mean)):
+                raise ValueError("cannot spawn a state at a non-finite position")
+            points = np.vstack([observations, overall_mean])
             distances, ids = self.states._distances_unguarded(points)
             columns = np.argmin(distances, axis=1)
             # The mean's distance to its nearest state IS the entry its
@@ -373,18 +341,13 @@ class OnlineStateClusterer:
         return [ids[column] for column in np.argmin(columns, axis=1)]
 
     def _apply_learning_update(
-        self,
-        observations: np.ndarray,
-        assignments: List[int],
-        full_mean: Optional[np.ndarray] = None,
+        self, observations: np.ndarray, assignments: List[int]
     ) -> None:
         """Eq. 5 + Eq. 6: move each visited state toward its group mean.
 
         Groups are visited in first-occurrence order of ``assignments``;
         each move decays the state set's certified pair bound in that
-        order.  ``full_mean``, when given, must equal
-        ``np.mean(observations, axis=0)`` bit-for-bit (see
-        :meth:`update`); it short-cuts the single-group reduction.
+        order.
         """
         first = assignments[0]
         if assignments.count(first) == len(assignments):
@@ -392,11 +355,7 @@ class OnlineStateClusterer:
             # the group mean is the mean of the whole matrix (bit-equal
             # to the mean of its copy) and only one centroid moves.
             state = self.states.get(first)
-            group_mean = (
-                full_mean
-                if full_mean is not None
-                else np.mean(observations, axis=0)
-            )
+            group_mean = np.mean(observations, axis=0)
             self.states.update_vector(
                 first,
                 (1.0 - self.alpha) * state.vector + self.alpha * group_mean,

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -236,9 +236,9 @@ class DetectionPipeline:
         self.correct_sequence: List[int] = []
         self.observable_sequence: List[int] = []
         #: Materialized per-window results plus the fused path's pending
-        #: constructor-argument tuples; see the ``results`` property.
+        #: entries (results, or certified markers); see ``results``.
         self._results: List[WindowResult] = []
-        self._pending_results: List[tuple] = []
+        self._pending_results: List[Union[WindowResult, tuple]] = []
         self._n_windows = 0
         #: Non-finite per-sensor readings dropped by the input guard.
         self.n_non_finite_dropped = 0
@@ -411,8 +411,8 @@ class DetectionPipeline:
         serves non-vectorizable filter banks.
         """
         stat = _window_stats(window, self._kernel_scratch)
-        # The trusted clusterer kernels rely on this fp state (huge
-        # observations saturate to inf).
+        # The fused kernels rely on this fp state (huge observations
+        # saturate to inf).
         with np.errstate(over="ignore"):
             self._fused_step(window, stat)
         return self.results[-1]
@@ -558,9 +558,9 @@ class DetectionPipeline:
     def results(self) -> List[WindowResult]:
         """Per-window :class:`WindowResult` log.
 
-        The fused path records lightweight argument tuples instead of
-        building the frozen dataclasses inline; they materialize here on
-        first access, so campaigns that only read digests/alarms never
+        Certified stretch windows record a compact marker instead of
+        building the frozen dataclasses inline; markers materialize here
+        on first access, so campaigns that only read digests/alarms never
         pay for them.
         """
         if self._pending_results:
@@ -583,8 +583,6 @@ class DetectionPipeline:
         self._n_windows += 1
         supervisor = self.supervisor
         per_sensor: Optional[Dict[int, np.ndarray]] = None
-        trusted = False
-        full_mean: Optional[np.ndarray] = None
         if stat is None:
             # Slow lane: message-backed window or non-finite means —
             # run the oracle's sanitizer (and its raises) verbatim.
@@ -599,24 +597,21 @@ class DetectionPipeline:
             else:
                 ids_sorted = []
         else:
-            (
-                ids_sorted,
-                id_array,
-                observations,
-                order_first,
-                overall_mean,
-                full_mean,
-            ) = stat[:6]
+            ids_sorted, id_array, observations, order_first, overall_mean = (
+                stat[:5]
+            )
             if overall_mean is None:
                 overall_mean = window.overall_mean()
-            else:
-                trusted = True
         if not ids_sorted:
             frozen = (
                 supervisor.learning_frozen if supervisor is not None else False
             )
             self._pending_results.append(
-                (window.index, True, None, None, (), (), 0, frozen)
+                WindowResult(
+                    window_index=window.index,
+                    skipped=True,
+                    learning_frozen=frozen,
+                )
             )
             if supervisor is not None:
                 supervisor.after_window(self)
@@ -631,10 +626,7 @@ class DetectionPipeline:
         assert overall_mean is not None
 
         cluster_update = self._clusterer.update(
-            observations,
-            overall_mean=overall_mean,
-            trusted=trusted,
-            full_mean=full_mean,
+            observations, overall_mean=overall_mean
         )
         assignments = cluster_update.sensor_assignments
         # Keyed in the window's first-occurrence order, exactly like the
@@ -677,15 +669,15 @@ class DetectionPipeline:
             self.observable_sequence.append(identification.observable_state)
 
         self._pending_results.append(
-            (
-                window.index,
-                False,
-                identification,
-                cluster_update,
-                tuple(raw_alarms),
-                tuple(transitions),
-                self._clusterer.n_states,
-                frozen,
+            WindowResult(
+                window_index=window.index,
+                skipped=False,
+                identification=identification,
+                cluster_update=cluster_update,
+                raw_alarms=tuple(raw_alarms),
+                filter_transitions=tuple(transitions),
+                n_model_states=self._clusterer.n_states,
+                learning_frozen=frozen,
             )
         )
         if supervisor is not None:
@@ -1032,7 +1024,6 @@ class DetectionPipeline:
         self._pending_results.append(
             (
                 window.index,
-                "steady",
                 pattern,
                 ctx.ids,
                 stat[3],
@@ -1248,75 +1239,55 @@ class DetectionPipeline:
         return model
 
 
-def _materialize_result(entry: tuple) -> WindowResult:
+def _materialize_result(entry: "Union[WindowResult, tuple]") -> WindowResult:
     """Build one :class:`WindowResult` from a deferred pending entry.
 
-    Two entry shapes exist: the general fused-path tuple mirroring the
-    ``WindowResult`` fields, and the compact stretch marker
-    (``entry[1] == "steady"``) holding the window's partition pattern
-    (assignments in sorted sensor order, correct state, majority size),
-    the sensor ordering and the observable state — the identification,
-    cluster-update and raw-alarm objects that pattern implies are
-    reconstructed here, off the hot loop.
+    Full and skipped fused steps append their result directly; it comes
+    back unchanged.  A certified stretch window leaves a compact marker
+    holding the window's partition pattern (assignments in sorted sensor
+    order, correct state, majority size), the sensor ordering and the
+    observable state — the identification, cluster-update and raw-alarm
+    objects that pattern implies are reconstructed here, off the hot
+    loop.
     """
-    if entry[1] == "steady":
-        (
-            window_index,
-            _,
-            pattern,
-            ids_sorted,
-            order_first,
-            transitions,
-            n_model_states,
-            observable,
-        ) = entry
-        assignments, correct, majority_size = pattern
-        identification = WindowIdentification(
-            observable_state=observable,
-            correct_state=correct,
-            sensor_states={ids_sorted[p]: assignments[p] for p in order_first},
-            majority_size=majority_size,
-            n_sensors=len(ids_sorted),
-        )
-        cluster_update = ClusterUpdate(
-            assignments=list(assignments),
-            spawned=[],
-            merged=[],
-            sensor_assignments=list(assignments),
-            observable_state=observable,
-            mean_spawned=None,
-        )
-        return WindowResult(
-            window_index=window_index,
-            skipped=False,
-            identification=identification,
-            cluster_update=cluster_update,
-            raw_alarms=tuple(
-                _pattern_alarms(window_index, ids_sorted, order_first, pattern)
-            ),
-            filter_transitions=transitions,
-            n_model_states=n_model_states,
-            learning_frozen=False,
-        )
+    if isinstance(entry, WindowResult):
+        return entry
     (
         window_index,
-        skipped,
-        identification,
-        cluster_update,
-        raw_alarms,
+        pattern,
+        ids_sorted,
+        order_first,
         transitions,
         n_model_states,
-        frozen,
+        observable,
     ) = entry
+    assignments, correct, majority_size = pattern
+    identification = WindowIdentification(
+        observable_state=observable,
+        correct_state=correct,
+        sensor_states={ids_sorted[p]: assignments[p] for p in order_first},
+        majority_size=majority_size,
+        n_sensors=len(ids_sorted),
+    )
+    cluster_update = ClusterUpdate(
+        assignments=list(assignments),
+        spawned=[],
+        merged=[],
+        sensor_assignments=list(assignments),
+        observable_state=observable,
+        mean_spawned=None,
+    )
     return WindowResult(
         window_index=window_index,
-        skipped=skipped,
+        skipped=False,
         identification=identification,
         cluster_update=cluster_update,
-        raw_alarms=raw_alarms,
+        raw_alarms=tuple(
+            _pattern_alarms(window_index, ids_sorted, order_first, pattern)
+        ),
         filter_transitions=transitions,
         n_model_states=n_model_states,
-        learning_frozen=frozen,
+        learning_frozen=False,
     )
 
 
@@ -1491,14 +1462,16 @@ def _batched_window_means(
 
     Returns one entry per window: ``(sorted_sensor_ids,
     sorted_sensor_id_array, means_matrix, first_occurrence_order,
-    overall_mean, full_group_mean)`` where ``means_matrix`` rows follow
-    ``sorted_sensor_ids`` (given both as a plain-int list for dict keys
-    and as the equivalent ``int64`` array for the vector filter bank),
-    ``first_occurrence_order`` permutes sorted positions into the
-    window's first-occurrence order (the dict order
-    ``ArrayWindow.per_sensor_mean`` produces), and ``overall_mean`` is
-    the window's Eq. 2 mean (``None`` for single-attribute traces,
-    which compute it per window) — or the whole entry is ``None`` when
+    overall_mean, full_group_mean, spread)`` where ``means_matrix``
+    rows follow ``sorted_sensor_ids`` (given both as a plain-int list
+    for dict keys and as the equivalent ``int64`` array for the vector
+    filter bank), ``first_occurrence_order`` permutes sorted positions
+    into the window's first-occurrence order (the dict order
+    ``ArrayWindow.per_sensor_mean`` produces), ``overall_mean`` is the
+    window's Eq. 2 mean and ``spread`` the largest distance from a
+    sensor mean or the overall mean to ``full_group_mean`` (the last
+    three ``None`` for single-attribute traces, which compute the mean
+    per window) — or the whole entry is ``None`` when
     the window must go through ``DetectionPipeline._sanitize`` instead
     (message-backed, empty, or holding any non-finite mean).
 

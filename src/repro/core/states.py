@@ -12,13 +12,14 @@ The set sits on the pipeline's per-window hot path (the procedure is
 explicitly *on-the-fly*, so per-window cost on the collector node is a
 first-class result).  Queries therefore run against a cached ``(M, d)``
 matrix of state vectors: ``nearest``, ``assign_batch`` and
-``closest_pair`` are single NumPy reductions instead of per-state Python
-loops.  The cache is invalidated by the three mutating operations
-(:meth:`spawn`, :meth:`merge`, :meth:`update_vector`); vector writes MUST
-go through :meth:`update_vector` so the cache stays coherent.  All
-vectorized queries break distance ties toward the lowest state id,
-exactly like the scalar reference implementations they replaced
-(``_nearest_scalar`` / ``_closest_pair_scalar``, kept for the
+``closest_pair`` (which builds its ``(M, M)`` pair matrix from the cached
+one per scan) are single NumPy reductions instead of per-state Python
+loops.  Structural edits (:meth:`spawn`, :meth:`merge`, :meth:`expel`)
+invalidate the cache; vector writes MUST go through
+:meth:`update_vector` (or :meth:`apply_steady_motion`) so the cache
+stays coherent.  All vectorized queries break distance ties toward the
+lowest state id, exactly like the scalar reference implementations they
+replaced (``_nearest_scalar`` / ``_closest_pair_scalar``, kept for the
 equivalence property tests).
 """
 
@@ -36,8 +37,9 @@ from .kernels import pairwise_distances
 #: when a tracked sensor agrees with the majority (§3.1).
 BOTTOM_STATE_ID = -1
 
-#: Memoised ``np.tril_indices(M)`` per M: ``closest_pair`` runs every
-#: window and M stays tiny, so the index arrays are worth keeping.
+#: Memoised ``np.tril_indices(M)`` per M: every pair scan (full step or
+#: in-stretch rescan) needs one and M stays tiny, so the index arrays
+#: are worth keeping.
 _TRIL_CACHE: Dict[int, "tuple[np.ndarray, np.ndarray]"] = {}
 
 
@@ -117,16 +119,6 @@ class StateSet:
         #: plus the ids labelling its rows.  ``None`` marks it stale.
         self._matrix: Optional[np.ndarray] = None
         self._matrix_ids: Optional[List[int]] = None
-        #: Incrementally maintained ``(M, M)`` pairwise-distance matrix
-        #: behind :meth:`closest_pair` (upper triangle only; diagonal and
-        #: below pinned to ``inf``).  Structural edits patch it in place
-        #: (spawn appends an inf row/col, merge/expel delete one);
-        #: centroids moved via :meth:`update_vector`/:meth:`merge` land
-        #: in ``_pair_dirty`` and only their rows/columns are recomputed
-        #: on the next query.  ``None`` means "rebuild from scratch".
-        self._pair_matrix: Optional[np.ndarray] = None
-        self._pair_ids: Optional[List[int]] = None
-        self._pair_dirty: "set[int]" = set()
         #: Owner-private scratch for the distance kernel (the NumPy
         #: flavor recycles its (diff, squared-norm) buffers in here,
         #: keyed implicitly by shape).  One dict per StateSet — never
@@ -216,28 +208,7 @@ class StateSet:
     def _invalidate(self) -> None:
         self._matrix = None
         self._matrix_ids = None
-        self._pair_matrix = None
-        self._pair_ids = None
-        self._pair_dirty.clear()
         self._pair_min_bound = None
-
-    def _pair_forget(self, state_id: int) -> None:
-        """Drop one state's row/column from the pairwise-distance cache."""
-        if self._pair_matrix is None:
-            return
-        assert self._pair_ids is not None
-        try:
-            idx = self._pair_ids.index(state_id)
-        except ValueError:  # pragma: no cover - defensive
-            self._pair_matrix = None
-            self._pair_ids = None
-            self._pair_dirty.clear()
-            return
-        self._pair_matrix = np.delete(
-            np.delete(self._pair_matrix, idx, axis=0), idx, axis=1
-        )
-        self._pair_ids.pop(idx)
-        self._pair_dirty.discard(state_id)
 
     def _ensure_cache(self) -> "tuple[np.ndarray, List[int]]":
         """The ``(M, d)`` vector matrix and its row ids, rebuilt if stale."""
@@ -266,8 +237,6 @@ class StateSet:
             assert self._matrix_ids is not None
             row = self._matrix_ids.index(state.state_id)
             self._matrix[row] = state.vector
-        if self._pair_matrix is not None:
-            self._pair_dirty.add(state.state_id)
         bound = self._pair_min_bound
         if bound is not None and not math.isinf(bound):
             # A move of magnitude δ shrinks any pairwise distance by at
@@ -302,16 +271,6 @@ class StateSet:
             self._dim = int(state.vector.shape[0])
         self._matrix = None
         self._matrix_ids = None
-        if self._pair_matrix is not None:
-            assert self._pair_ids is not None
-            # Fresh ids are strictly increasing, so appending keeps the
-            # cache's id order sorted (matching ``_ensure_cache``).
-            m = len(self._pair_ids)
-            grown = np.full((m + 1, m + 1), np.inf)
-            grown[:m, :m] = self._pair_matrix
-            self._pair_matrix = grown
-            self._pair_ids.append(state.state_id)
-            self._pair_dirty.add(state.state_id)
         # The newcomer's pair distances are unknown until the next scan.
         self._pair_min_bound = None
         return state
@@ -337,7 +296,6 @@ class StateSet:
             self._aliases[state_id] = target
         self._matrix = None
         self._matrix_ids = None
-        self._pair_forget(state_id)
 
     def alias_defects(self) -> List[str]:
         """Integrity problems in the alias table (empty when healthy).
@@ -414,9 +372,6 @@ class StateSet:
         self._aliases[drop_id] = keep_id
         self._matrix = None
         self._matrix_ids = None
-        self._pair_forget(drop_id)
-        if self._pair_matrix is not None:
-            self._pair_dirty.add(keep_id)
         # The survivor teleported to the weighted mean; its new pair
         # distances are unbounded below, so the certified bound dies.
         self._pair_min_bound = None
@@ -520,45 +475,9 @@ class StateSet:
         if len(ids) < 2:
             self._pair_min_bound = math.inf
             return None
-        m = len(ids)
-        if (
-            self._pair_matrix is None
-            or self._pair_ids != ids
-            # Patching k dirty rows costs about k row kernels plus the
-            # final argmin; the full rebuild is one (M, M) kernel.  For
-            # small sets or mostly-dirty caches the rebuild is cheaper,
-            # and both produce bit-identical entries.
-            or 2 * len(self._pair_dirty) >= m
-        ):
-            distances = _pair_matrix(matrix)
-            self._pair_matrix = distances
-            self._pair_ids = list(ids)
-            self._pair_dirty.clear()
-        elif self._pair_dirty:
-            # Recompute only the rows/columns of centroids that moved.
-            # Each refreshed entry is the same subtraction/square/sum the
-            # full rebuild performs (up to an exact sign flip under the
-            # square), so the cache stays bit-identical to a rebuild.
-            pair = self._pair_matrix
-            if len(self._pair_dirty) == 1:
-                # Eq. 6 usually moves exactly one centroid per window;
-                # one (M, d) kernel refreshes its row and column.
-                i = ids.index(self._pair_dirty.pop())
-                diff = matrix[i] - matrix
-                row = np.sqrt(np.einsum("md,md->m", diff, diff))
-                pair[i, i + 1 :] = row[i + 1 :]
-                pair[:i, i] = row[:i]
-            else:
-                dirty = sorted(ids.index(s) for s in self._pair_dirty)
-                diff = matrix[dirty][:, None, :] - matrix[None, :, :]
-                rows = np.sqrt(np.einsum("dmk,dmk->dm", diff, diff))
-                for r, i in enumerate(dirty):
-                    pair[i, i + 1 :] = rows[r, i + 1 :]
-                    pair[:i, i] = rows[r, :i]
-                self._pair_dirty.clear()
-        flat = int(np.argmin(self._pair_matrix))
-        i, j = divmod(flat, m)
-        best = float(self._pair_matrix[i, j])
+        distances = _pair_matrix(matrix)
+        i, j = divmod(int(np.argmin(distances)), len(ids))
+        best = float(distances[i, j])
         # Shave a relative slack off the measured minimum so distance
         # rounding can never make a later scan measure below the bound.
         self._pair_min_bound = best - abs(best) * 1e-12
@@ -616,8 +535,6 @@ class StateSet:
             assert self._matrix_ids is not None
             row = self._matrix_ids.index(state.state_id)
             self._matrix[row] = state.vector
-        if self._pair_matrix is not None:
-            self._pair_dirty.add(state.state_id)
         state.visits += visit_increment
 
     def pair_distance_at_least(self, threshold: float) -> bool:

@@ -248,7 +248,9 @@ class CollectorNode:
     _n_attributes: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.window_minutes <= 0:
+        # NaN fails every comparison and inf never closes a window, so
+        # both are rejected alongside non-positive lengths.
+        if not (math.isfinite(self.window_minutes) and self.window_minutes > 0):
             raise ValueError("window_minutes must be positive")
 
     def _quarantine_reason(self, message: SensorMessage) -> Optional[str]:
@@ -404,7 +406,7 @@ def windows_from_arrays(
     trace-wide attribute width — bit-identical matrices, means, and
     bounds, pinned by the parity suite.
     """
-    if window_minutes <= 0:
+    if not (math.isfinite(window_minutes) and window_minutes > 0):
         raise ValueError("window_minutes must be positive")
     timestamps = np.asarray(timestamps, dtype=float)
     sensor_ids = np.asarray(sensor_ids)

@@ -45,6 +45,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             PipelineConfig(sample_period_minutes=0.0)
 
+    def test_rejects_non_finite_window_length(self):
+        # An infinite window never closes (run_pipeline would hang); a
+        # NaN one yields no windows and a silent clean verdict.
+        for name in ("window_samples", "sample_period_minutes"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{name} must be positive"):
+                    PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            (dict(merge_threshold=-1.0), "thresholds must be positive"),
+            (dict(spawn_threshold=float("nan")), "thresholds must be positive"),
+            (dict(merge_threshold=float("inf")), "thresholds must be positive"),
+            (
+                dict(spawn_threshold=4.0, merge_threshold=4.0),
+                "merge_threshold must be below spawn_threshold",
+            ),
+            (dict(max_states=0), "max_states must be at least 2"),
+            (dict(max_states=1), "max_states must be at least 2"),
+            (dict(filter_k=6, filter_n=5), r"need 1 <= k <= n"),
+            (dict(filter_k=0), r"need 1 <= k <= n"),
+            (dict(filter_n=0), r"need 1 <= k <= n"),
+        ],
+    )
+    def test_rejects_knobs_the_first_window_would_reject(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**knobs)
+
     def test_rejects_unknown_filter_kind(self):
         with pytest.raises(ValueError):
             PipelineConfig(filter_kind="median")

@@ -28,6 +28,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             clusterer(spawn_threshold=3.0, merge_threshold=3.0)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(merge_threshold=float("nan")),
+            dict(spawn_threshold=float("nan")),
+            dict(spawn_threshold=float("inf")),
+            dict(merge_threshold=-1.0),
+        ],
+    )
+    def test_rejects_non_finite_or_nonpositive_thresholds(self, knobs):
+        # A NaN threshold fails every comparison: a NaN merge threshold
+        # would merge states 50 apart, a NaN spawn threshold would never
+        # spawn.
+        with pytest.raises(ValueError, match="thresholds must be positive"):
+            clusterer(**knobs)
+
     def test_requires_initial_states(self):
         with pytest.raises(ValueError):
             OnlineStateClusterer(initial_vectors=[])

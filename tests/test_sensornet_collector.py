@@ -11,6 +11,7 @@ from repro.sensornet import (
     SensorMessage,
     windows_from_messages,
 )
+from repro.sensornet.collector import windows_from_arrays
 
 
 def msg(sensor_id: int, t: float, attrs=(1.0, 2.0)) -> SensorMessage:
@@ -64,6 +65,31 @@ class TestCollectorNode:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             CollectorNode(window_minutes=0.0)
+
+    @pytest.mark.parametrize("window_minutes", [float("nan"), float("inf")])
+    def test_rejects_non_finite_window(self, window_minutes):
+        with pytest.raises(ValueError, match="window_minutes must be positive"):
+            CollectorNode(window_minutes=window_minutes)
+
+    def test_windows_from_messages_rejects_non_finite_window(self):
+        # The constructor check first: a collector built with a NaN
+        # length would never see ``end > now`` and emit windows forever.
+        with pytest.raises(ValueError, match="window_minutes must be positive"):
+            CollectorNode(window_minutes=float("nan"))
+        with pytest.raises(ValueError, match="window_minutes must be positive"):
+            windows_from_messages([msg(0, 10.0)], float("nan"))
+
+    def test_windows_from_arrays_rejects_non_finite_window(self):
+        ts = np.array([0.0, 30.0, 90.0])
+        ids = np.array([0, 1, 0])
+        values = np.ones((3, 2))
+        # NaN first: a windower without the check returns no windows
+        # here, so the assertion fails before the ``inf`` call below,
+        # whose window loop would otherwise never terminate.
+        with pytest.raises(ValueError, match="window_minutes must be positive"):
+            windows_from_arrays(ts, ids, values, float("nan"))
+        with pytest.raises(ValueError, match="window_minutes must be positive"):
+            windows_from_arrays(ts, ids, values, float("inf"))
 
 
 class TestObservationWindow:
