@@ -6,33 +6,8 @@ session reuses one simulation across the artefacts it feeds.
 """
 
 from functools import lru_cache
-from typing import Callable
 
-from .ablations import (
-    A5_EQUIVALENCES,
-    SweepResult,
-    baseline_comparison,
-    classification_matrix,
-    compromised_fraction_sweep,
-    dynamic_change_study,
-    estimator_comparison,
-    filter_comparison,
-    learning_factor_sweep,
-    window_size_sweep,
-)
-from .figures import (
-    Figure6Result,
-    Figure7Result,
-    Figure8Result,
-    Figure9Result,
-    Figure12Result,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure12,
-)
-from .journal import CampaignJournal
+from .._lazy import lazy_exports
 from .retry import RetryPolicy, TaskError
 from .runner import (
     CampaignReport,
@@ -60,15 +35,49 @@ from .scenarios import (
     reference_states,
     stuck_at_scenario,
 )
-from .tables import (
-    AttackMatrixResult,
-    SensorMatricesResult,
-    Table1Result,
-    table1,
-    table2_3,
-    table4_5,
-    table6,
-    table7,
+
+# The artefact generators and the journal are off the campaign path;
+# they load on first use (DESIGN.md §12.4).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "ablations": (
+            "A5_EQUIVALENCES",
+            "SweepResult",
+            "baseline_comparison",
+            "classification_matrix",
+            "compromised_fraction_sweep",
+            "dynamic_change_study",
+            "estimator_comparison",
+            "filter_comparison",
+            "learning_factor_sweep",
+            "window_size_sweep",
+        ),
+        "figures": (
+            "Figure6Result",
+            "Figure7Result",
+            "Figure8Result",
+            "Figure9Result",
+            "Figure12Result",
+            "figure6",
+            "figure7",
+            "figure8",
+            "figure9",
+            "figure12",
+        ),
+        "journal": ("CampaignJournal",),
+        "tables": (
+            "AttackMatrixResult",
+            "SensorMatricesResult",
+            "Table1Result",
+            "table1",
+            "table2_3",
+            "table4_5",
+            "table6",
+            "table7",
+        ),
+    },
 )
 
 _SCENARIO_BUILDERS = {

@@ -94,8 +94,10 @@ class TaskError:
     """Picklable record of one failed task attempt.
 
     ``kind`` is one of ``"exception"`` (the task raised), ``"timeout"``
-    (it overran its deadline), or ``"worker-crash"`` (its worker process
-    died — SIGKILL, OOM, segfault — taking the pool with it).
+    (it overran its deadline), ``"worker-crash"`` (its worker process
+    died — SIGKILL, OOM, segfault — taking the pool with it), or
+    ``"invalid-spec"`` (the spec cannot run at all, so it was
+    quarantined before any attempt).
     """
 
     kind: str

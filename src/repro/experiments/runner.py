@@ -29,11 +29,19 @@ the serial path shares the pool's retry, quarantine and journal
 policy instead of copying it.  Pool workers receive only the small
 spec payload; with a trace cache each worker loads a hit itself
 (:meth:`~repro.traces.cache.TraceCache.load`) and replays it.
+
+Workers need no set-up of their own.  The parent loads
+``numpy.random`` before it creates the pool, so a forked worker
+inherits the whole campaign stack already imported; under ``spawn`` or
+``forkserver``, unpickling the task function imports the stack in the
+worker.  Chaos and the journal are imported only by campaigns that use
+them (DESIGN.md §12.4).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from collections import deque
@@ -47,6 +55,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Deque,
     Dict,
     List,
@@ -63,14 +72,16 @@ from ..analysis.offline_clustering import initial_states_from_trace
 from ..config import PipelineConfig
 from ..core.pipeline import DetectionPipeline, WindowResult
 from ..faults.campaign import CampaignSpec
-from ..resilience.chaos import SimulatedWorkerCrash, WorkerChaos
 from ..sensornet.collector import ArrayWindow, ObservationWindow
 from ..traces.columnar import ColumnarTrace, generate_gdi_trace_columnar
 from ..traces.gdi import GDITraceConfig, build_environment
 from ..traces.schema import Trace
 from ..traces.windows import window_trace_columnar_by_samples
-from .journal import CampaignJournal
 from .retry import RetryPolicy, TaskError
+
+if TYPE_CHECKING:
+    from ..resilience.chaos import WorkerChaos
+    from .journal import CampaignJournal
 
 
 def compute_initial_states(
@@ -496,16 +507,6 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     return max(1, int(n_jobs))
 
 
-def _pool_worker_init() -> None:
-    """One-time setup in each pool worker.
-
-    Pre-imports the full experiment stack so spawned workers pay the
-    (substantial) import cost once per worker instead of lazily inside
-    their first task.
-    """
-    import repro.experiments  # noqa: F401  (side effect: warm imports)
-
-
 def campaign_spec_key(spec: ScenarioSpec) -> str:
     """Content hash identifying ``spec`` in journals and chaos draws.
 
@@ -606,12 +607,29 @@ def _run_scenario_task(
     except KeyboardInterrupt:
         raise
     except Exception as exc:
-        kind = (
-            "worker-crash"
-            if isinstance(exc, SimulatedWorkerCrash)
-            else "exception"
-        )
+        kind = "exception"
+        if payload.chaos is not None:
+            from ..resilience.chaos import SimulatedWorkerCrash
+
+            if isinstance(exc, SimulatedWorkerCrash):
+                kind = "worker-crash"
         return TaskError.from_exception(exc, kind)
+
+
+def _spec_problem(spec: ScenarioSpec) -> Optional[str]:
+    """Why ``spec`` cannot run, or None: checked before any attempt."""
+    from . import _SCENARIO_BUILDERS
+
+    if spec.name not in _SCENARIO_BUILDERS:
+        return (
+            f"unknown scenario {spec.name!r}; "
+            f"choose from {sorted(_SCENARIO_BUILDERS)}"
+        )
+    if not isinstance(spec.n_days, numbers.Integral) or spec.n_days < 1:
+        return f"n_days must be a positive integer, got {spec.n_days!r}"
+    if not isinstance(spec.seed, numbers.Integral) or spec.seed < 0:
+        return f"seed must be a non-negative integer, got {spec.seed!r}"
+    return None
 
 
 def _spec_fields(spec: ScenarioSpec) -> Dict[str, object]:
@@ -737,9 +755,12 @@ def _execute(
     def new_pool() -> "Union[ProcessPoolExecutor, _InlineExecutor]":
         if inline:
             return _InlineExecutor()
-        return ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_pool_worker_init
-        )
+        # Forked workers inherit this process's modules; loading
+        # numpy.random here, once, spares every worker importing it
+        # inside its first task (DESIGN.md §12.4).
+        import numpy.random  # noqa: F401
+
+        return ProcessPoolExecutor(max_workers=n_workers)
 
     pool = new_pool()
 
@@ -935,18 +956,24 @@ def run_campaign(
     against the same directory replays completed specs exactly-once
     and executes only the remainder.  ``cache_dir`` enables the
     scenario trace cache: each worker replays a hit from the stored
-    entry and simulates a miss, storing its trace for later campaigns.  A spec that fails every retry is quarantined: its
-    placeholder outcome (``error`` set, no digest) keeps the campaign
-    order, and :attr:`CampaignReport.quarantined` surfaces it — a
-    poison spec never discards finished results.
+    entry and simulates a miss, storing its trace for later campaigns.
+    A spec that fails every retry is quarantined: its placeholder
+    outcome (``error`` set, no digest) keeps the campaign order, and
+    :attr:`CampaignReport.quarantined` surfaces it — a poison spec
+    never discards finished results.  A spec that cannot run at all
+    (unknown scenario name, ``n_days < 1``, negative seed) is
+    quarantined before dispatch as ``invalid-spec``, with no attempt,
+    retry or backoff.
     """
     specs = list(specs)
     policy = policy or RetryPolicy()
     n_jobs = resolve_n_jobs(n_jobs)
     report = CampaignReport()
-    journal = (
-        CampaignJournal(journal_dir) if journal_dir is not None else None
-    )
+    journal = None
+    if journal_dir is not None:
+        from .journal import CampaignJournal
+
+        journal = CampaignJournal(journal_dir)
     keys = [campaign_spec_key(spec) for spec in specs]
     results: "List[Optional[ScenarioOutcome]]" = [None] * len(specs)
     if journal is not None:
@@ -960,12 +987,24 @@ def run_campaign(
             except (KeyError, TypeError, ValueError):
                 continue  # malformed journal outcome: re-run the spec
             report.n_journal_skips += 1
-    tasks = [
-        _Task(index=index, spec=spec, key=key)
-        for index, (spec, key) in enumerate(zip(specs, keys))
-        if results[index] is None
-    ]
     try:
+        tasks = []
+        for index, (spec, key) in enumerate(zip(specs, keys)):
+            if results[index] is not None:
+                continue
+            task = _Task(index=index, spec=spec, key=key)
+            problem = _spec_problem(spec)
+            if problem is None:
+                tasks.append(task)
+            else:
+                # It would fail the same way on every attempt: no
+                # worker, no retry, no backoff.
+                _quarantine_task(
+                    task,
+                    TaskError(kind="invalid-spec", message=problem),
+                    journal,
+                    results,
+                )
         if tasks:
             _execute(
                 tasks,

@@ -39,23 +39,7 @@ quarantines a deployment whose run raises, the way ``run_campaign``
 quarantines a poison spec (DESIGN.md §13).
 """
 
-from .checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    CheckpointVersionError,
-    load_checkpoint,
-    restore,
-    save_checkpoint,
-    snapshot,
-)
-from .chaos import (
-    ChaosCampaign,
-    ChaosReport,
-    ChaosSpec,
-    SimulatedWorkerCrash,
-    WorkerChaos,
-    WorkerChaosError,
-)
-from .fuzz import FuzzReport, pathological_window, run_fuzz
+from .._lazy import lazy_exports
 from .invariants import (
     DEFAULT_INVARIANTS,
     Invariant,
@@ -65,7 +49,33 @@ from .invariants import (
     check_invariants,
     default_invariants,
 )
-from .supervisor import ModelUnderAttack, PipelineSupervisor
+
+# Checkpointing, chaos, fuzzing and the supervisor load on first use:
+# a campaign without them never imports them (DESIGN.md §12.4).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "chaos": (
+            "ChaosCampaign",
+            "ChaosReport",
+            "ChaosSpec",
+            "SimulatedWorkerCrash",
+            "WorkerChaos",
+            "WorkerChaosError",
+        ),
+        "checkpoint": (
+            "CHECKPOINT_FORMAT_VERSION",
+            "CheckpointVersionError",
+            "load_checkpoint",
+            "restore",
+            "save_checkpoint",
+            "snapshot",
+        ),
+        "fuzz": ("FuzzReport", "pathological_window", "run_fuzz"),
+        "supervisor": ("ModelUnderAttack", "PipelineSupervisor"),
+    },
+)
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",

@@ -6,6 +6,7 @@ radio links, and a collector node that builds the Eq.-1 observation
 windows consumed by the detection pipeline.
 """
 
+from .._lazy import lazy_exports
 from .collector import (
     CollectorNode,
     DeliveryStats,
@@ -20,10 +21,19 @@ from .environment import (
     PiecewiseRegimeEnvironment,
 )
 from .messages import DeliveryRecord, MalformedMessage, SensorMessage
-from .network import GilbertElliottLoss, RadioLink, StarNetwork
-from .sensor import BatteryModel, Mote
-from .simulator import NetworkSimulator, SimulationReport
-from .topology import Deployment, MotePlacement
+
+# The object-path radio simulator loads on first use: columnar
+# generation never runs it (DESIGN.md §12.4).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "network": ("GilbertElliottLoss", "RadioLink", "StarNetwork"),
+        "sensor": ("BatteryModel", "Mote"),
+        "simulator": ("NetworkSimulator", "SimulationReport"),
+        "topology": ("Deployment", "MotePlacement"),
+    },
+)
 
 __all__ = [
     "BatteryModel",

@@ -4,6 +4,7 @@ The synthetic Great Duck Island generator (:mod:`repro.traces.gdi`)
 replaces the paper's proprietary July-2003 traces; see DESIGN.md §2.
 """
 
+from .._lazy import lazy_exports
 from .cache import CachedTrace, TraceCache, canonical_spec_hash, scenario_spec
 from .columnar import (
     GENERATOR_VERSION,
@@ -19,7 +20,6 @@ from .gdi import (
     build_environment,
     generate_gdi_trace,
 )
-from .loader import LoadReport, load_trace, save_trace
 from .schema import Trace, TraceRecord, trace_from_messages
 from .windows import (
     non_empty_windows,
@@ -27,6 +27,11 @@ from .windows import (
     window_trace_by_samples,
     window_trace_columnar,
     window_trace_columnar_by_samples,
+)
+
+# Trace files on disk are not part of a campaign (DESIGN.md §12.4).
+__getattr__, __dir__ = lazy_exports(
+    __name__, globals(), {"loader": ("LoadReport", "load_trace", "save_trace")}
 )
 
 __all__ = [

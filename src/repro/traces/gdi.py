@@ -16,16 +16,17 @@ the collector received.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..sensornet.collector import CollectorNode
 from ..sensornet.environment import GDIDiurnalEnvironment, MINUTES_PER_DAY
-from ..sensornet.messages import SensorMessage
-from ..sensornet.network import StarNetwork
-from ..sensornet.sensor import Mote
-from ..sensornet.simulator import CorruptionStage, NetworkSimulator
 from .schema import Trace, TraceRecord
+
+if TYPE_CHECKING:
+    from ..sensornet.messages import SensorMessage
+    from ..sensornet.simulator import CorruptionStage
 
 #: The paper's Table 1 mote count.
 GDI_SENSOR_COUNT = 10
@@ -55,12 +56,22 @@ class GDITraceConfig:
     seed: int = 2003
 
     def __post_init__(self) -> None:
-        if self.n_sensors <= 0:
-            raise ValueError("n_sensors must be positive")
-        if self.n_days <= 0:
-            raise ValueError("n_days must be positive")
-        if self.sample_period_minutes <= 0:
-            raise ValueError("sample_period_minutes must be positive")
+        # Checked here so neither generator runs on a value it would
+        # either reject deep inside NumPy or turn into a silent
+        # empty trace (a NaN noise draws no deliverable reading).
+        for name in ("n_sensors", "n_days"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if not (
+            math.isfinite(self.sample_period_minutes)
+            and self.sample_period_minutes > 0
+        ):
+            raise ValueError("sample_period_minutes must be finite and positive")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError("noise_std must be finite and non-negative")
         # The object generator's RadioLink rejects these too; checking
         # here keeps the columnar generator from running on them.
         for name in ("loss_probability", "corruption_probability"):
@@ -101,6 +112,13 @@ def generate_gdi_trace(
         All reports the collector successfully parsed, plus delivery
         statistics in ``trace.metadata``.
     """
+    # The object-path substrate: only this oracle runs it, so it is
+    # imported here rather than with the module (DESIGN.md §12.4).
+    from ..sensornet.collector import CollectorNode
+    from ..sensornet.network import StarNetwork
+    from ..sensornet.sensor import Mote
+    from ..sensornet.simulator import NetworkSimulator
+
     config = config or GDITraceConfig()
     environment = build_environment(config)
     motes = [

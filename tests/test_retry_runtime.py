@@ -378,3 +378,52 @@ class TestSubmitRace:
         assert report.outcomes == serial_outcomes
         assert report.n_pool_rebuilds >= 1
         assert report.ok
+
+
+class TestInvalidSpec:
+    """A spec that cannot run is quarantined before any attempt."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_quarantined_without_retry_or_backoff(
+        self, n_jobs, serial_outcomes, tmp_path
+    ):
+        from repro.experiments.journal import CampaignJournal
+
+        specs = [
+            ScenarioSpec("no_such_scenario", n_days=1, seed=17),
+            SPECS[0],
+            ScenarioSpec("clean", n_days=0, seed=17),
+        ]
+        report = run_campaign(
+            specs,
+            n_jobs=n_jobs,
+            # A long backoff: any retry would be visible as a stall.
+            policy=RetryPolicy(max_retries=3, backoff_base=5.0, backoff_cap=5.0),
+            journal_dir=tmp_path,
+        )
+        assert report.n_retries == 0
+        assert [o.quarantined for o in report.outcomes] == [True, False, True]
+        assert report.outcomes[1] == serial_outcomes[0]
+        bad, _, no_days = report.outcomes
+        assert bad.error.startswith(
+            "invalid-spec: unknown scenario 'no_such_scenario'"
+        )
+        assert no_days.error == (
+            "invalid-spec: n_days must be a positive integer, got 0"
+        )
+        assert bad.attempts == no_days.attempts == 1
+        with CampaignJournal(tmp_path) as journal:
+            poisoned = [r["key"] for r in journal.poisoned()]
+        keys = [campaign_spec_key(spec) for spec in specs]
+        assert poisoned == [keys[0], keys[2]]
+
+    def test_negative_seed_is_invalid(self):
+        report = run_campaign(
+            [ScenarioSpec("clean", n_days=1, seed=-1)],
+            n_jobs=1,
+            policy=RetryPolicy(max_retries=3, **FAST),
+        )
+        assert report.n_retries == 0
+        assert report.outcomes[0].error == (
+            "invalid-spec: seed must be a non-negative integer, got -1"
+        )

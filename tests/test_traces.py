@@ -121,6 +121,34 @@ class TestGDIGenerator:
         with pytest.raises(ValueError):
             GDITraceConfig(n_sensors=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # NaN noise delivered no reading at all: a silent clean run.
+            ("noise_std", float("nan")),
+            ("noise_std", float("inf")),
+            ("noise_std", -1.0),
+            ("sample_period_minutes", float("nan")),
+            # inf generated one reading per mote for the whole trace.
+            ("sample_period_minutes", float("inf")),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("n_sensors", 10.0),
+            ("n_days", 2.0),
+        ],
+    )
+    def test_both_generators_reject_bad_config(self, field, value):
+        for generate in (generate_gdi_trace, generate_gdi_trace_columnar):
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                generate(GDITraceConfig(**{"n_days": 1, field: value}))
+
+    def test_accepts_numpy_integers_and_zero_noise(self):
+        config = GDITraceConfig(
+            n_sensors=np.int64(3), n_days=np.int32(1), seed=np.int64(0),
+            noise_std=0.0,
+        )
+        assert len(generate_gdi_trace_columnar(config).to_trace()) > 0
+
     @pytest.mark.parametrize("name", ["loss_probability", "corruption_probability"])
     @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
     def test_both_generators_reject_bad_link_probability(self, name, value):
