@@ -70,7 +70,7 @@ import numpy as np
 
 from ..analysis.offline_clustering import initial_states_from_trace
 from ..config import PipelineConfig
-from ..core.pipeline import DetectionPipeline, WindowResult
+from ..core.pipeline import DetectionPipeline
 from ..faults.campaign import CampaignSpec
 from ..sensornet.collector import ArrayWindow, ObservationWindow
 from ..traces.columnar import ColumnarTrace, generate_gdi_trace_columnar

@@ -124,6 +124,12 @@ class ArrayWindow:
     ``sensor_ids``, ``is_empty``), and numerically bit-identical to it:
     ``per_sensor_mean`` accumulates with ``np.bincount``, whose
     sequential index-order adds reproduce the message loop exactly.
+
+    ``observations`` is held as a row-major float64 matrix (other
+    layouts are copied once, at construction), so every ``axis=0``
+    reduce over it — :meth:`overall_mean` here, the Eq. 2 mean in the
+    fused stats kernels — adds each column sequentially and they agree
+    bit for bit; a column-contiguous matrix would take pairwise sums.
     """
 
     index: int
@@ -134,6 +140,13 @@ class ArrayWindow:
     #: ``(N,)`` sensor id of each row (read-only view).
     sensor_id_array: np.ndarray
     n_attributes: int = 0
+
+    def __post_init__(self) -> None:
+        obs = self.observations
+        if obs.dtype != np.float64 or not obs.flags.c_contiguous:
+            object.__setattr__(
+                self, "observations", np.ascontiguousarray(obs, dtype=np.float64)
+            )
 
     @property
     def sensor_ids(self) -> List[int]:

@@ -10,23 +10,27 @@ checkpoints taken mid-stretch, partition stretches (a faulty sensor in
 its own state next to the majority), re-pins and stretches opened by
 the window-derived certificate, sensor means within 1e-9 of a decision
 boundary, supervised modes, the oracle fallback of a custom filter
-factory, the slow lane of message-backed and non-finite windows, and
-the one-window stats kernel itself.
+factory, the slow lane of message-backed and non-finite windows, the
+one-window stats kernel itself, and the results of certified windows,
+which build their fields on first read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DetectionPipeline, PipelineConfig
+from repro import DetectionPipeline, PipelineConfig, WindowResult
 from repro.core.filtering import FilterBank, KOfNFilter
-from repro.core.pipeline import _batched_window_means, _window_stats
+from repro.core.pipeline import _CERTIFIED, _batched_window_means, _window_stats
 from repro.faults.attacks import (
     DynamicCreationAttack,
     DynamicDeletionAttack,
@@ -850,3 +854,267 @@ class TestWindowStatsKernel:
         results = [stream.process_window(w) for w in windows]
         oracle, oracle_results = run_oracle(config, windows)
         assert_identical(stream, results, oracle, oracle_results)
+
+
+def stats_bits(stat):
+    """A stats entry with every float as its exact bits (-0.0 != 0.0)."""
+    if stat is None:
+        return None
+    bits = []
+    for field in stat:
+        if isinstance(field, np.ndarray):
+            bits.append((field.dtype.str, field.shape, field.tobytes()))
+        elif isinstance(field, float):
+            bits.append(("float", struct.pack("<d", field)))
+        else:
+            bits.append((type(field).__name__, field))
+    return bits
+
+
+def both_kernels(window) -> tuple:
+    """The lean kernel's and the batched kernel's entry for ``window``,
+    under the fp state ``process_window`` holds."""
+    with np.errstate(over="ignore"):
+        return _window_stats(window), _batched_window_means([window])[0]
+
+
+def array_window(sensor_ids, rows, n_attributes: int) -> ArrayWindow:
+    return ArrayWindow(
+        index=1,
+        start_minutes=0.0,
+        end_minutes=60.0,
+        observations=np.array(rows, dtype=float).reshape(len(sensor_ids), -1),
+        sensor_id_array=np.array(sensor_ids, dtype=np.int64),
+        n_attributes=n_attributes,
+    )
+
+
+#: Edge windows for the lean kernel's shortcuts: ``(sensor ids in row
+#: order, first-column readings, whether the kernel certifies it)``.
+#: The other columns get ordinary readings.
+EDGE_WINDOWS = {
+    # Sorted by id the means run +, +, -, -: the group sum overflows,
+    # while the overall sum (row order +, -, +, -) stays finite.
+    "group-sum-overflows": ([0, 2, 1, 3], [1e308, -1e308, 1e308, -1e308], True),
+    # Sorted means run +, -, +, -; the row-order overall sum overflows.
+    "overall-sum-overflows": ([0, 2, 1, 3], [1e308, 1e308, -1e308, -1e308], False),
+    "sensor-sum-overflows": ([4, 4, 1], [1e308, 1e308, 2.0], False),
+    "nan-reading": ([0, 1, 1], [1.0, math.nan, 2.0], False),
+    "negative-zero": ([3, 1, 3, 2, 1], [-0.0] * 5, True),
+    "one-sensor": ([7, 7, 7, 7], [20.0, 20.5, 19.5, 21.0], True),
+    "one-reading": ([5], [-3.25], True),
+    "unsorted-extreme-ids": (
+        [2**62, -5, 3, -(2**62), 3, 2**62, 0, -5],
+        [21.0, 19.0, 1e300, -1e300, 22.5, 20.25, -0.0, 18.0],
+        True,
+    ),
+}
+
+
+class TestLeanStatsKernel:
+    """``_window_stats`` equals ``_batched_window_means([w])[0]`` bit for
+    bit on windows its shortcuts could get wrong."""
+
+    @pytest.mark.parametrize("n_attributes", (1, 2, 3, 5))
+    @pytest.mark.parametrize("case", sorted(EDGE_WINDOWS))
+    def test_edge_windows(self, case, n_attributes):
+        sensor_ids, first, certified = EDGE_WINDOWS[case]
+        rng = np.random.default_rng(len(case))
+        rows = [
+            [value] + list(rng.normal(30.0, 5.0, n_attributes - 1))
+            for value in first
+        ]
+        if case == "negative-zero":
+            rows = [[-0.0] * n_attributes for _ in first]
+        window = array_window(sensor_ids, rows, n_attributes)
+        ours, theirs = both_kernels(window)
+        assert stats_bits(ours) == stats_bits(theirs)
+        # Single-attribute windows never compute the overall mean, so
+        # only a sensor-level overflow or NaN keeps them out.
+        assert (ours is not None) == (
+            certified or (n_attributes == 1 and case == "overall-sum-overflows")
+        )
+        if case == "group-sum-overflows" and n_attributes > 1:
+            assert math.isinf(ours[5][0]) and math.isinf(ours[6])
+
+    @pytest.mark.parametrize("n_attributes", (1, 2, 3, 5))
+    def test_random_windows(self, n_attributes):
+        # Magnitudes spread over many decades, so any reordered add
+        # (pairwise sums, einsum's unrolled norms) would show.
+        rng = np.random.default_rng(n_attributes)
+        for _ in range(200):
+            n_rows = int(rng.integers(1, 160))
+            ids = rng.integers(-3, 12, n_rows)
+            values = rng.normal(0.0, 1.0, (n_rows, n_attributes))
+            values *= 10.0 ** rng.integers(-6, 7, (n_rows, 1))
+            ours, theirs = both_kernels(array_window(ids, values, n_attributes))
+            assert ours is not None
+            assert stats_bits(ours) == stats_bits(theirs)
+
+    @pytest.mark.parametrize("layout", ("fortran", "column-strided"))
+    def test_overall_mean_is_layout_independent(self, layout):
+        rng = np.random.default_rng(5)
+        values = rng.normal(20.0, 5.0, (96, 4)) * 10.0 ** rng.integers(
+            -3, 4, (96, 1)
+        )
+        if layout == "fortran":
+            observations = np.asfortranarray(values[:, :2])
+        else:
+            observations = values[:, ::2]
+        window = ArrayWindow(1, 0.0, 60.0, observations, np.arange(96) % 8, 2)
+        assert window.observations.flags.c_contiguous
+        assert np.array_equal(window.observations, observations)
+        ours, theirs = both_kernels(window)
+        assert window.overall_mean().tobytes() == ours[4].tobytes()
+        assert ours[4].tobytes() == theirs[4].tobytes()
+
+    def test_trace_windows_stay_views(self):
+        values = np.arange(24, dtype=float).reshape(12, 2)
+        windows = windows_from_arrays(
+            np.arange(12) * 10.0, np.arange(12) % 3, values, 60.0
+        )
+        assert all(
+            np.shares_memory(window.observations, windows[0].observations.base)
+            for window in windows
+        )
+
+
+def hash_outcome(result) -> object:
+    """``hash(result)``, or the message of the TypeError it raises (a
+    non-skipped result holds an unhashable sensor-state dict)."""
+    try:
+        return hash(result)
+    except TypeError as exc:
+        return str(exc)
+
+
+def assert_result_like(mine, theirs) -> None:
+    assert type(mine) is WindowResult and isinstance(mine, WindowResult)
+    assert mine == theirs and theirs == mine
+    assert repr(mine) == repr(theirs)
+    assert hash_outcome(mine) == hash_outcome(theirs)
+    assert pickle.dumps(mine) == pickle.dumps(theirs)
+    assert pickle.loads(pickle.dumps(mine)) == theirs
+    assert dataclasses.replace(mine) == theirs
+    fields = dataclasses.fields(WindowResult)
+    assert WindowResult(**{f.name: getattr(mine, f.name) for f in fields}) == theirs
+
+
+def deferred(results) -> int:
+    """How many results still hold a certified window's unbuilt marker."""
+    return sum(hasattr(result, _CERTIFIED) for result in results)
+
+
+FIRST_READS = {
+    "eq": lambda r, o: r == o,
+    "repr": lambda r, o: repr(r),
+    "hash": lambda r, o: hash_outcome(r),
+    "pickle": lambda r, o: pickle.dumps(r),
+    "field": lambda r, o: r.raw_alarms,
+    "property": lambda r, o: r.correct_state,
+}
+
+
+class TestCertifiedResults:
+    """A certified window's ``WindowResult`` builds its identification,
+    cluster update and raw alarms on first read, indistinguishably from
+    the oracle's eager result."""
+
+    @pytest.mark.parametrize("first_read", sorted(FIRST_READS))
+    def test_first_read_long_after_the_window(self, first_read):
+        windows = deployment_windows("deletion", seed=41, n_days=3)
+        config = PipelineConfig()
+        stream = DetectionPipeline(config)
+        results = [stream.process_window(w) for w in windows]
+        stream.digest()  # folds the stretch; results stay unbuilt
+        assert deferred(results) > len(results) // 2
+        oracle, oracle_results = run_oracle(config, windows)
+        for mine, theirs in zip(results, oracle_results):
+            FIRST_READS[first_read](mine, theirs)
+        assert deferred(results) == 0
+        for mine, theirs in zip(results, oracle_results):
+            assert_result_like(mine, theirs)
+
+    def test_read_mid_stretch_after_repin_and_after_exit(self):
+        windows = scripted_windows(lagging_coalition)
+        config = PipelineConfig()
+        oracle, oracle_results = run_oracle(config, windows)
+        pipeline = DetectionPipeline(config)
+        seen = {"mid": 0, "repin": 0, "exit": 0}
+        previous = [None]  # the stretch open before this window
+
+        def after(p, index, repinned):
+            now = p._steady
+            if repinned:
+                moment = "repin"
+            elif previous[0] is not None and now is not previous[0]:
+                moment = "exit"
+            elif now is not None and index % 5 == 0:
+                moment = "mid"
+            else:
+                moment = None
+            previous[0] = now
+            if moment is not None:
+                seen[moment] += 1
+                assert_result_like(p.results[-1], oracle_results[index - 1])
+
+        results, _, _ = stream_pins(pipeline, windows, after)
+        assert min(seen.values()) > 0
+        assert_identical(pipeline, results, oracle, oracle_results)
+        for mine, theirs in zip(results, oracle_results):
+            assert_result_like(mine, theirs)
+
+    def test_results_across_snapshot_and_restore(self):
+        windows = deployment_windows("deletion", seed=32, n_days=3)
+        config = PipelineConfig()
+        pipeline = DetectionPipeline(config)
+        split = None
+        for position, window in enumerate(windows):
+            pipeline.process_window(window)
+            if pipeline._steady is not None and position >= len(windows) // 3:
+                split = position + 1
+                break
+        assert split is not None
+        head = list(pipeline.results)
+        assert deferred(head) > 0
+        resumed = DetectionPipeline.restore(
+            json.loads(snapshot_json(pipeline)), config=config
+        )
+        assert resumed.results == []
+        tail = [resumed.process_window(w) for w in windows[split:]]
+        # The snapshotted pipeline streams on, its early results unread.
+        rest = [pipeline.process_window(w) for w in windows[split:]]
+        assert deferred(head) > 0 and deferred(tail) > 0
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(resumed, tail, oracle, oracle_results[split:])
+        assert_identical(pipeline, head + rest, oracle, oracle_results)
+        for mine, theirs in zip(head + tail, oracle_results):
+            assert_result_like(mine, theirs)
+
+    @pytest.mark.parametrize("kind", ("k_of_n", "sprt", "cusum"))
+    def test_batch_and_stream_results_per_filter_kind(self, kind):
+        windows = deployment_windows("mixed", seed=43, n_days=3)
+        config = PipelineConfig(filter_kind=kind)
+        stream = DetectionPipeline(config)
+        streamed = [stream.process_window(w) for w in windows]
+        batch = DetectionPipeline(config)
+        assert batch.process_windows_fast(windows) == len(windows)
+        assert deferred(streamed) > 0 and deferred(batch.results) > 0
+        oracle, oracle_results = run_oracle(config, windows)
+        assert_identical(stream, streamed, oracle, oracle_results)
+        assert_identical(batch, batch.results, oracle, oracle_results)
+        for mine, batched, theirs in zip(streamed, batch.results, oracle_results):
+            assert_result_like(mine, theirs)
+            assert_result_like(batched, theirs)
+
+    def test_results_stay_frozen(self):
+        windows = deployment_windows("none", seed=44, n_days=1)
+        pipeline = DetectionPipeline()
+        pipeline.process_windows_fast(windows)
+        result = pipeline.results[-1]
+        assert hasattr(result, _CERTIFIED)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.identification = None
+        assert result.identification is not None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.raw_alarms = ()
