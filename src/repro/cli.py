@@ -530,9 +530,13 @@ def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
     crossed with every supervisor mode, and demands exact equality of
     the digest, the JSON snapshot, and each per-window result.  Any
     mismatch is a correctness bug in the fused engine, so the exit
-    code is non-zero and CI blocks on it.
+    code is non-zero and CI blocks on it.  So is an unsupervised engine
+    that certified no window of a trace: its results are counted while
+    they still hold the certified marker, before any field is read, so
+    the comparison cannot pass without exercising the certified lane.
     """
     from . import DetectionPipeline, PipelineConfig
+    from .core.pipeline import _CERTIFIED
     from .traces import window_trace_columnar
 
     n_days, seed = args.days, args.seed
@@ -563,22 +567,33 @@ def _cmd_parity(args: argparse.Namespace) -> "tuple[str, int]":
                     stream_results.append(stream.process_window(window))
                     if position == len(windows) // 2:
                         stream.digest()
-                for engine, pipeline, results in (
+                engines = [
                     ("fused", fused, fused.results),
                     ("stream", stream, stream_results),
-                ):
+                ]
+                certified = {
+                    engine: sum(hasattr(result, _CERTIFIED) for result in results)
+                    for engine, _, results in engines
+                }
+                for engine, pipeline, results in engines:
                     digest_ok = oracle.digest() == pipeline.digest()
                     snapshot_ok = _snapshot(oracle) == _snapshot(pipeline)
                     results_ok = len(oracle_results) == len(results) and all(
                         a == b for a, b in zip(oracle_results, results)
                     )
-                    ok = ok and digest_ok and snapshot_ok and results_ok
-                    lines.append(
+                    line = (
                         f"  {name:<7} {engine:<6} {kind:<7} {mode:<7} "
                         f"digest={_tag(digest_ok)} "
                         f"snapshot={_tag(snapshot_ok)} "
                         f"results={_tag(results_ok)}"
                     )
+                    ok = ok and digest_ok and snapshot_ok and results_ok
+                    if mode == "off":
+                        # Supervised engines never certify a window.
+                        count = certified[engine]
+                        ok = ok and count > 0
+                        line += f" certified={count}" + ("" if count else " FAIL")
+                    lines.append(line)
     lines.append("parity PASS" if ok else "parity FAIL")
     return "\n".join(lines), 0 if ok else 1
 

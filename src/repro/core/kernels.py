@@ -1,11 +1,10 @@
 """The pipeline's hot array kernels (DESIGN.md §14).
 
 The grouped window-mean pass (:func:`repro.core.pipeline._batched_window_means`),
-the full-lane distance scan behind :class:`repro.core.states.StateSet`,
-and the :class:`repro.core.filtering.VectorFilterBank` update
-recurrences call these functions directly.  Each kernel documents the
-accumulation order the per-window reference path relies on for
-bit-identical results.
+the window-derived certificate and the full-lane distance scan behind
+:class:`repro.core.states.StateSet` call these functions directly.  Each
+kernel documents the accumulation order the per-window reference path
+relies on for bit-identical results.
 """
 
 from __future__ import annotations
@@ -77,66 +76,3 @@ def pairwise_distances(
     np.subtract(points[:, None, :], matrix[None, :, :], out=diff)
     np.einsum("nmd,nmd->nm", diff, diff, out=sq)
     return np.sqrt(sq)
-
-
-def k_of_n_lockstep(
-    buf: np.ndarray,
-    position: int,
-    raws: np.ndarray,
-    count: np.ndarray,
-    active: np.ndarray,
-    k: int,
-) -> None:
-    """Advance all lockstep k-of-n rings one window, in place.
-
-    ``buf``/``count``/``active`` are the live-slot views of the filter
-    bank's ring buffers, counts, and active flags; every ring shares
-    write ``position``.  Pure integer/bool arithmetic.
-    """
-    delta = raws.astype(np.int64)
-    delta -= buf[:, position]
-    count += delta
-    buf[:, position] = raws
-    np.greater_equal(count, k, out=active)
-
-
-def sprt_step(
-    llr: np.ndarray,
-    raws: np.ndarray,
-    active: np.ndarray,
-    log_up: float,
-    log_down: float,
-    upper: float,
-    lower: float,
-) -> "Tuple[np.ndarray, np.ndarray]":
-    """One SPRT update over gathered per-sensor statistics.
-
-    Returns fresh ``(llr, active)`` arrays; the caller scatters them
-    back.  Scalar precedence contract: ``>= upper`` wins when both
-    thresholds trip, and either acceptance resets the ratio to zero.
-    """
-    llr = llr + np.where(raws, log_up, log_down)
-    accept_h1 = llr >= upper
-    accept_h0 = llr <= lower
-    new_active = np.where(accept_h1, True, np.where(accept_h0, False, active))
-    new_llr = np.where(accept_h1 | accept_h0, 0.0, llr)
-    return new_llr, new_active
-
-
-def cusum_step(
-    g: np.ndarray,
-    raws: np.ndarray,
-    active: np.ndarray,
-    drift: float,
-    threshold: float,
-) -> "Tuple[np.ndarray, np.ndarray]":
-    """One CUSUM update over gathered per-sensor statistics.
-
-    Returns fresh ``(g, active)``.  Contract: the score saturates at
-    zero, alarms latch above ``threshold`` and clear only at zero.
-    """
-    new_g = np.maximum(0.0, g + raws.astype(float) - drift)
-    new_active = np.where(
-        new_g > threshold, True, np.where(new_g == 0.0, False, active)
-    )
-    return new_g, new_active

@@ -46,7 +46,7 @@ from .classification import (
     classify_track,
 )
 from .clustering import ClusterUpdate, OnlineStateClusterer
-from .filtering import FilterBank, FilterTransition, VectorFilterBank
+from .filtering import FilterBank, FilterTransition
 from .identification import WindowIdentification, identify_window
 from .kernels import grouped_sums, pairwise_distances
 from .markov import MarkovModel, estimate_markov_model
@@ -65,11 +65,13 @@ class _SteadyStretch:
     re-pins the stretch in place (:meth:`pin`).  Every live state's
     vector evolves here in Python floats (``vecs``, aligned with
     ``state_ids``) with per-state deferred visit counts; alarm-history
-    runs, raw alarms and planned k-of-n filter updates of the current
-    pin are deferred too.  The pin's deferred state is folded back at a
-    re-pin, and all of it at stretch exit.  A stretch stays open across
-    ``process_window`` calls until a window fails both certificates or
-    a reader forces ``DetectionPipeline._sync``.
+    runs and raw alarms of the current pin are deferred too.  The pin's
+    deferred state is folded back at a re-pin, and all of it at stretch
+    exit.  The filter bank is never deferred: each certified window
+    updates the filters the pin has not yet settled (``unsettled``).  A
+    stretch stays open across ``process_window`` calls until a window
+    fails both certificates or a reader forces
+    ``DetectionPipeline._sync``.
     """
 
     __slots__ = (
@@ -85,8 +87,7 @@ class _SteadyStretch:
         "pattern",
         "count",
         "log",
-        "flips",
-        "filter_count",
+        "unsettled",
     )
 
     def __init__(
@@ -105,7 +106,7 @@ class _SteadyStretch:
         self.major = 0
         #: per-sorted-position raw alarm: fixed for a pin, since only
         #: the majority group agrees with the correct state
-        self.raws = np.zeros(0, dtype=bool)
+        self.raws: List[bool] = []
         #: ``state_ids`` index each group currently maps to
         self.targets: List[int] = []
         self.pattern: tuple = ()
@@ -114,28 +115,36 @@ class _SteadyStretch:
         #: ``(window_index, order_first, pattern)`` of every certified
         #: window with raw alarms, for the deferred ``RawAlarm`` log
         self.log: List[tuple] = []
-        #: the k-of-n bank's planned flips under ``raws``
-        #: (``VectorFilterBank.fixed_raw_flips``); None runs every
-        #: window's filter update live
-        self.flips: "Optional[Dict[int, List[tuple]]]" = None
-        #: filter windows deferred for ``advance_fixed``
-        self.filter_count = 0
+        #: ascending sorted positions whose filter ``raws`` may still
+        #: move (``AlarmFilter.settled``); the rest are skipped
+        self.unsettled: List[int] = []
 
     def pin(
-        self, groups: List[List[int]], major: int, targets: List[int]
+        self,
+        groups: List[List[int]],
+        major: int,
+        targets: List[int],
+        bank: FilterBank,
     ) -> None:
         """Pin a partition: ``groups`` (majority ``groups[major]``)
-        mapped to the ``state_ids`` indices ``targets``.  The caller has
-        folded the previous pin's raw-dependent deferred state."""
+        mapped to the ``state_ids`` indices ``targets``, with the
+        positions whose ``bank`` filter the new raws do not settle.  The
+        caller has folded the previous pin's raw-dependent deferred
+        state."""
         self.groups = groups
         self.group_of = [0] * len(self.ids)
         for index, members in enumerate(groups):
             for position in members:
                 self.group_of[position] = index
         self.major = major
-        self.raws = np.array(
-            [group != major for group in self.group_of], dtype=bool
-        )
+        self.raws = [group != major for group in self.group_of]
+        # ``filter_for`` creates a new sensor's filter, as the window's
+        # own update would.
+        self.unsettled = [
+            position
+            for position, (sensor_id, raw) in enumerate(zip(self.ids, self.raws))
+            if not bank.filter_for(sensor_id).settled(raw)
+        ]
         self.retarget(targets)
 
     def retarget(self, targets: List[int]) -> None:
@@ -245,15 +254,10 @@ class DetectionPipeline:
         self._clusterer: Optional[OnlineStateClusterer] = None
         self._alarm_generator = AlarmGenerator()
         self._filter_bank = FilterBank(factory=self.config.filter_factory())
-        #: Live fused state, kept across calls and folded back into the
-        #: scalar modules by ``_sync`` before anything reads them: the
-        #: vector mirror of ``_filter_bank`` (None until the first fused
-        #: step, or after a fold) and the open certified stretch, if any.
-        self._vector_bank: Optional[VectorFilterBank] = None
+        #: The open certified stretch, if any: kept across calls and
+        #: folded back into the modules by ``_sync`` before anything
+        #: reads them.
         self._steady: Optional[_SteadyStretch] = None
-        #: True once the filter bank proved non-vectorizable (custom
-        #: factory or heterogeneous state): every window takes the oracle.
-        self._scalar_only = False
         # Table 1's beta/gamma are retention factors; the online HMMs take
         # the complementary innovation rates (see OnlineHMM's docstring).
         self.tracks = TrackManager(
@@ -285,26 +289,21 @@ class DetectionPipeline:
 
     # -- live fused state ---------------------------------------------------
 
-    def _sync(self, filters: bool = False) -> None:
-        """Fold the live fused state back into the scalar modules.
+    def _sync(self) -> None:
+        """Fold the live fused state back into the modules.
 
         Ends an open stretch (its deferred centroid motion and visits,
-        alarm-history runs and raw alarms, and deferred k-of-n filter
-        updates).  With ``filters`` it also folds the vector filter bank
-        into the scalar :class:`FilterBank` and drops it, so the caller
-        may read or mutate the scalar bank; the next fused step rebuilds
-        the mirror.
-        The ``clusterer``/``alarm_generator``/``filter_bank`` accessors
-        call this, so every reader (digest, snapshot, diagnoses, models,
-        the supervisor, the oracle) sees exactly the oracle's state.
+        alarm-history runs and raw alarms).  The
+        ``clusterer``/``alarm_generator``/``filter_bank`` accessors call
+        this, so every reader (digest, snapshot, diagnoses, models, the
+        supervisor, the oracle) sees exactly the oracle's state, and a
+        caller that mutates a module never leaves a stretch holding
+        stale state.
         """
         steady = self._steady
         if steady is not None:
             self._steady = None
             self._steady_exit(steady)
-        if filters and self._vector_bank is not None:
-            self._filter_bank.load_state_dict(self._vector_bank.state_dict())
-            self._vector_bank = None
 
     @property
     def clusterer(self) -> Optional[OnlineStateClusterer]:
@@ -330,37 +329,14 @@ class DetectionPipeline:
 
     @property
     def filter_bank(self) -> FilterBank:
-        """The per-sensor alarm filters, as a scalar :class:`FilterBank`."""
-        self._sync(filters=True)
+        """The per-sensor alarm filters."""
+        self._sync()
         return self._filter_bank
 
     @filter_bank.setter
     def filter_bank(self, value: FilterBank) -> None:
-        self._sync(filters=True)
+        self._sync()
         self._filter_bank = value
-        self._scalar_only = False
-
-    def _live_vector_bank(self) -> Optional[VectorFilterBank]:
-        """The fused path's filter bank, mirrored from the scalar bank on
-        first use and kept live across calls.
-
-        ``None`` when the configuration's filter factory is not one of
-        the three stock filters, or when the scalar bank holds per-sensor
-        state the homogeneous vector bank cannot represent (e.g. a
-        checkpoint restored under a different filter configuration) —
-        the caller then runs the per-window oracle.
-        """
-        bank = self._vector_bank
-        if bank is None and not self._scalar_only:
-            scalar = self._filter_bank
-            try:
-                bank = VectorFilterBank.from_prototype(scalar.factory())
-                bank.load_state_dict(scalar.state_dict())
-            except (ValueError, TypeError):
-                self._scalar_only = True
-                return None
-            self._vector_bank = bank
-        return bank
 
     # -- bootstrap ----------------------------------------------------------
 
@@ -432,18 +408,18 @@ class DetectionPipeline:
         """Consume one observation window; returns what was derived.
 
         The paper's on-the-fly step (§3, Fig. 1), run through the fused
-        engine: one window's means come from :func:`_window_stats`, the
-        vector filter bank and any certified stretch stay live across
-        calls (folded back by ``_sync`` before anything reads them), and
-        a certified window's result builds its fields on first read.
+        engine: one window's means come from :func:`_window_stats`, any
+        certified stretch stays open across calls (folded back by
+        ``_sync`` before anything reads pipeline state), and a certified
+        window's result builds its fields on first read.
         On the benchmark's stream-online workload (10 deployments x 21
         days, 5040 windows) a streamed window costs about 106 µs:
         ``verdict_s`` 0.534 s per pass in reference-host seconds, a
         2-vCPU x86-64 VM (EXPERIMENTS.md A8).  The returned
         :class:`WindowResult` and every piece of pipeline state are
         bit-identical to the per-window oracle
-        ``_process_window_reference``, which also serves
-        non-vectorizable filter banks.
+        ``_process_window_reference``, for any filter bank: stock,
+        custom or restored under another filter configuration.
         """
         # The stats kernel and the fused step rely on this fp state (huge
         # observations saturate to inf).
@@ -472,23 +448,16 @@ class DetectionPipeline:
         The open stretch's pinned-partition certificate first; else
         (unsupervised) the window-derived certificate, which re-pins
         the open stretch or opens one; else the stretch is folded back
-        and the full fused step runs.  The oracle serves filter banks
-        that cannot be vectorized.  The caller holds
+        and the full fused step runs.  All three drive the one
+        :class:`FilterBank` the oracle uses.  The caller holds
         ``np.errstate(over="ignore")``."""
-        bank = self._live_vector_bank()
-        if bank is None:
-            self._process_window_reference(window)
-            return
         steady = self._steady
-        if steady is not None and self._steady_step(window, stat, steady, bank):
+        if steady is not None and self._steady_step(window, stat, steady):
             return
-        if self.supervisor is None and self._window_step(window, stat, bank):
+        if self.supervisor is None and self._window_step(window, stat):
             return
-        steady = self._steady
-        if steady is not None:
-            self._steady = None
-            self._steady_exit(steady)
-        self._process_window_fast(window, stat, bank)
+        self._sync()
+        self._process_window_fast(window, stat)
 
     def _process_window_reference(self, window: ObservationWindow) -> WindowResult:
         """The per-window reference step: the fused engine's oracle.
@@ -588,14 +557,11 @@ class DetectionPipeline:
     # -- the fused step -------------------------------------------------------
 
     def _process_window_fast(
-        self,
-        window: ObservationWindow,
-        stat: "Optional[tuple]",
-        vector_bank: VectorFilterBank,
+        self, window: ObservationWindow, stat: "Optional[tuple]"
     ) -> None:
         """One full fused window step (mirrors ``_process_window_reference``):
-        the clusterer, identification, alarm generator and vector
-        filter bank run on the live modules.  No stretch is open here."""
+        the clusterer, identification, alarm generator and filter bank
+        run on the live modules.  No stretch is open here."""
         self._n_windows += 1
         supervisor = self.supervisor
         per_sensor: Optional[Dict[int, np.ndarray]] = None
@@ -606,16 +572,13 @@ class DetectionPipeline:
             if per_sensor:
                 ids_first = list(per_sensor.keys())
                 ids_sorted = sorted(ids_first)
-                id_array = np.asarray(ids_sorted, dtype=np.int64)
                 observations = np.vstack([per_sensor[s] for s in ids_sorted])
                 position = {s: i for i, s in enumerate(ids_sorted)}
                 order_first: Sequence[int] = [position[s] for s in ids_first]
             else:
                 ids_sorted = []
         else:
-            ids_sorted, id_array, observations, order_first, overall_mean = (
-                stat[:5]
-            )
+            ids_sorted, observations, order_first, overall_mean = stat[:4]
             if overall_mean is None:
                 overall_mean = window.overall_mean()
         if not ids_sorted:
@@ -661,11 +624,12 @@ class DetectionPipeline:
 
         raw_alarms = self._alarm_generator.process(window.index, identification)
         correct = identification.correct_state
-        transitions = vector_bank.update_batch(
+        transitions = self._filter_bank.update(
             window.index,
-            id_array,
-            [state_id != correct for state_id in assignments],
-            assume_sorted=True,
+            {
+                sensor_id: state_id != correct
+                for sensor_id, state_id in zip(ids_sorted, assignments)
+            },
         )
         for transition in transitions:
             if transition.raised:
@@ -780,7 +744,6 @@ class DetectionPipeline:
         window: ObservationWindow,
         stat: "Optional[tuple]",
         ctx: "_SteadyStretch",
-        bank: VectorFilterBank,
     ) -> bool:
         """Process one window under the open stretch's pinned partition.
 
@@ -792,8 +755,8 @@ class DetectionPipeline:
             # No fused stats, or a different sensor population: the
             # pinned partition no longer applies.
             return False
-        full_mean = stat[5]
-        spread = stat[6]
+        full_mean = stat[4]
+        spread = stat[5]
         if full_mean is None or spread is None:
             return False
         clusterer = self._clusterer
@@ -807,7 +770,7 @@ class DetectionPipeline:
             goals = [full_mean.tolist()]
             radii = [spread]
         else:
-            rows = stat[2].tolist()
+            rows = stat[1].tolist()
             goals = _group_means(rows, groups)
             radii = [
                 max(math.dist(rows[p], goal) for p in group)
@@ -823,7 +786,7 @@ class DetectionPipeline:
             targets.append(row.index(min(row)))
         if len(set(targets)) != len(targets):
             return False
-        moved, steps = _eq6_moves(vecs, targets, goals, clusterer.alpha)
+        moved, steps, others = _eq6_moves(vecs, targets, goals, clusterer.alpha)
         threshold = clusterer.spawn_threshold
         for target, goal, row, radius in zip(targets, goals, dists, radii):
             # ``reach`` bounds the group's points' distance to the
@@ -836,9 +799,9 @@ class DetectionPipeline:
             # at least the nearest other distance minus the largest
             # other step.
             row[target] = math.inf
-            if not reach + radius + pad < (
-                min(row) - _other_step(steps, target)
-            ) * (1.0 - 1e-12) - 1e-9:
+            if not reach + radius + pad < (min(row) - others[target]) * (
+                1.0 - 1e-12
+            ) - 1e-9:
                 return False
         if len(groups) == 1:
             # The one group's spread covers the overall mean, so the
@@ -846,20 +809,17 @@ class DetectionPipeline:
             # target and within reach: no mean spawn.
             observable: Optional[int] = targets[0]
         else:
-            observable = _certified_observable(stat[4], vecs, moved, threshold)
+            observable = _certified_observable(stat[3], vecs, moved, threshold)
             if observable is None:
                 return False
         bound = self._certified_pair_bound(vecs, moved, targets, steps)
         if bound is None:
             return False
-        self._steady_commit(window, stat, ctx, bank, targets, moved, observable, bound)
+        self._steady_commit(window, stat, ctx, targets, moved, observable, bound)
         return True
 
     def _window_step(
-        self,
-        window: ObservationWindow,
-        stat: "Optional[tuple]",
-        bank: VectorFilterBank,
+        self, window: ObservationWindow, stat: "Optional[tuple]"
     ) -> bool:
         """Process one window under the window-derived certificate.
 
@@ -871,7 +831,7 @@ class DetectionPipeline:
         cannot be certified.
         """
         clusterer = self._clusterer
-        if stat is None or stat[5] is None or clusterer is None:
+        if stat is None or stat[4] is None or clusterer is None:
             return False
         ctx = self._steady
         if ctx is not None:
@@ -885,7 +845,7 @@ class DetectionPipeline:
                 return False
             state_ids, vecs = list(live_ids), matrix.tolist()
         threshold = clusterer.spawn_threshold
-        rows = stat[2].tolist()
+        rows = stat[1].tolist()
         # Eq. 3 against the pre-move states, with margin: each sensor's
         # nearest state lies within the spawn threshold and strictly
         # nearer than the second nearest (``far``).  One distance kernel
@@ -893,7 +853,7 @@ class DetectionPipeline:
         fars = []
         members: Dict[int, List[int]] = {}
         distances = pairwise_distances(
-            stat[2], np.array(vecs), self._kernel_scratch
+            stat[1], np.array(vecs), self._kernel_scratch
         ).tolist()
         for position, row in enumerate(distances):
             near = min(row)
@@ -916,23 +876,23 @@ class DetectionPipeline:
             # the stretch does not track.
             return False
         goals = (
-            [stat[5].tolist()] if len(groups) == 1 else _group_means(rows, groups)
+            [stat[4].tolist()] if len(groups) == 1 else _group_means(rows, groups)
         )
-        moved, steps = _eq6_moves(vecs, targets, goals, clusterer.alpha)
+        moved, steps, others = _eq6_moves(vecs, targets, goals, clusterer.alpha)
         # Eq. 3 after the moves: each point's distance to its own moved
         # target, measured directly, stays strictly below its pre-move
         # distance to any other state (at least ``far``) minus the
         # largest step any other state takes.
         for target, group in zip(targets, groups):
             new = moved[target]
-            slack = _other_step(steps, target)
+            slack = others[target]
             for position in group:
                 own = math.dist(rows[position], new)
                 if not own + 1e-9 + 1e-12 * own < (fars[position] - slack) * (
                     1.0 - 1e-12
                 ) - 1e-9:
                     return False
-        observable = _certified_observable(stat[4], vecs, moved, threshold)
+        observable = _certified_observable(stat[3], vecs, moved, threshold)
         if observable is None:
             return False
         bound = self._certified_pair_bound(vecs, moved, targets, steps)
@@ -947,9 +907,8 @@ class DetectionPipeline:
                 self._steady = None
                 self._steady_exit(ctx)
             ctx = self._steady = _SteadyStretch(stat[0], state_ids, vecs)
-        ctx.pin(groups, sizes.index(top), targets)
-        ctx.flips = bank.fixed_raw_flips(stat[1], ctx.raws)
-        self._steady_commit(window, stat, ctx, bank, targets, moved, observable, bound)
+        ctx.pin(groups, sizes.index(top), targets, self._filter_bank)
+        self._steady_commit(window, stat, ctx, targets, moved, observable, bound)
         return True
 
     def _certified_pair_bound(
@@ -981,17 +940,17 @@ class DetectionPipeline:
         window: ObservationWindow,
         stat: tuple,
         ctx: "_SteadyStretch",
-        bank: VectorFilterBank,
         targets: List[int],
         moved: Dict[int, List[float]],
         observable: int,
         bound: float,
     ) -> None:
-        """Record one certified window: move the stretch's states, feed
-        the filter bank (or emit a planned k-of-n bank's flips and defer
-        its update), the tracks and ``M_CO``, and log the window's result,
-        whose identification, cluster update and raw alarms are built on
-        first read."""
+        """Record one certified window: move the stretch's states, update
+        the pin's unsettled filters in sensor-id order (a filter that
+        settles leaves the list: its further updates would change
+        nothing), feed the tracks and ``M_CO``, and log the window's
+        result, whose identification, cluster update and raw alarms are
+        built on first read."""
         clusterer = self._clusterer
         assert clusterer is not None
         clusterer.states.commit_pair_bound(bound)
@@ -1006,28 +965,29 @@ class DetectionPipeline:
         assignments, correct, _ = pattern
         ctx.count += 1
         if len(ctx.groups) > 1:
-            ctx.log.append((window.index, stat[3], pattern))
+            ctx.log.append((window.index, stat[2], pattern))
         self._n_windows += 1
-        flips = ctx.flips
-        if flips is None:
-            transitions = tuple(
-                bank.update_batch(
-                    window.index, stat[1], ctx.raws, assume_sorted=True
+        filters = self._filter_bank.filters
+        changed = []
+        unsettled = []
+        for position in ctx.unsettled:
+            raw = ctx.raws[position]
+            sensor_id = ctx.ids[position]
+            filt = filters[sensor_id]
+            before = filt.active
+            after = filt.update(raw)
+            if after != before:
+                changed.append(
+                    FilterTransition(
+                        sensor_id=sensor_id,
+                        window_index=window.index,
+                        raised=after,
+                    )
                 )
-            )
-        else:
-            # A planned k-of-n bank: emit this update's flips, defer
-            # the update itself.
-            step = ctx.filter_count
-            ctx.filter_count = step + 1
-            transitions = tuple(
-                FilterTransition(
-                    sensor_id=ctx.ids[slot],
-                    window_index=window.index,
-                    raised=raised,
-                )
-                for slot, raised in flips.get(step, ())
-            )
+            if not filt.settled(raw):
+                unsettled.append(position)
+        ctx.unsettled = unsettled
+        transitions = tuple(changed)
         for transition in transitions:
             if transition.raised:
                 self.tracks.open_track(transition.sensor_id, window.index)
@@ -1043,18 +1003,18 @@ class DetectionPipeline:
                 window.index,
                 transitions,
                 clusterer.n_states,
-                (pattern, ctx.ids, stat[3], observable_id),
+                (pattern, ctx.ids, stat[2], observable_id),
             )
         )
 
     def _steady_fold(self, ctx: "_SteadyStretch") -> None:
         """Fold the current pin's raw-dependent deferred state into the
         live modules: the alarm-history runs and raw alarms in window
-        order, and the deferred filter-bank updates.  Runs before a
-        re-pin's new raws apply, and at stretch exit."""
+        order.  Runs before a re-pin's new raws apply, and at stretch
+        exit."""
         if ctx.count:
             history = self._alarm_generator.history
-            for sensor_id, raw in zip(ctx.ids, ctx.raws.tolist()):
+            for sensor_id, raw in zip(ctx.ids, ctx.raws):
                 history.setdefault(sensor_id, []).extend([raw] * ctx.count)
             ctx.count = 0
         if ctx.log:
@@ -1064,10 +1024,6 @@ class DetectionPipeline:
                     _pattern_alarms(window_index, ctx.ids, order_first, pattern)
                 )
             ctx.log = []
-        if ctx.filter_count:
-            assert self._vector_bank is not None
-            self._vector_bank.advance_fixed(ctx.raws, ctx.filter_count)
-            ctx.filter_count = 0
 
     def _steady_exit(self, ctx: "_SteadyStretch") -> None:
         """Fold the whole stretch back into the live modules: the
@@ -1256,6 +1212,17 @@ class DetectionPipeline:
 #: The attribute holding a certified window's marker until first read.
 _CERTIFIED = "_certified"
 
+# CPython shares one attribute-key table among a class's instances and
+# sizes each new instance's inline attribute slots from it, trimming
+# its spare room as instances are created; an instance whose key no
+# longer fits falls back to a full dict, twice the memory.  Entering
+# every field and the marker now makes the layout the same whichever
+# result a process builds first (say, a certified window right after a
+# checkpoint restore).
+_layout = WindowResult(window_index=0, skipped=True)
+object.__setattr__(_layout, _CERTIFIED, None)
+del _layout
+
 
 def _certified_result(
     window_index: int,
@@ -1330,27 +1297,25 @@ def _group_means(
     ]
 
 
-def _other_step(steps: Dict[int, float], target: int) -> float:
-    """The largest Eq. 6 step this window of any state but ``target``."""
-    return max(
-        [step for index, step in steps.items() if index != target],
-        default=0.0,
-    )
-
-
 def _eq6_moves(
     vecs: List[List[float]],
     targets: List[int],
     goals: List[List[float]],
     alpha: float,
-) -> "tuple[Dict[int, List[float]], Dict[int, float]]":
+) -> "tuple[Dict[int, List[float]], Dict[int, float], Dict[int, float]]":
     """Eq. 6 in Python floats: each target state steps toward its
     group mean with the oracle's two roundings per element.  Returns
-    the moved vectors and the step lengths (exactly as
-    ``StateSet.update_vector`` measures them), keyed by ``vecs`` index."""
+    the moved vectors, the step lengths (exactly as
+    ``StateSet.update_vector`` measures them) and, per target, the
+    largest step this window of any other state (0.0 when it moves
+    alone), all keyed by ``vecs`` index.  The last comes from the
+    window's two largest steps: the runner-up for the leader, the
+    leader for every other target (a tie makes both the same)."""
     keep = 1.0 - alpha
     moved: Dict[int, List[float]] = {}
     steps: Dict[int, float] = {}
+    leader = -1
+    first = second = 0.0
     for target, goal in zip(targets, goals):
         new = []
         moved_sq = 0.0
@@ -1360,8 +1325,13 @@ def _eq6_moves(
             step = value - c_t
             moved_sq += step * step
         moved[target] = new
-        steps[target] = math.sqrt(moved_sq)
-    return moved, steps
+        length = steps[target] = math.sqrt(moved_sq)
+        if length > first:
+            leader, first, second = target, length, first
+        elif length > second:
+            second = length
+    others = {target: second if target == leader else first for target in steps}
+    return moved, steps, others
 
 
 def _certified_observable(
@@ -1455,7 +1425,7 @@ def _window_stats(
     rank = {sensor_id: k for k, sensor_id in enumerate(sensor_ids)}
     order_first = [rank[sensor_id] for sensor_id in first_seen]
     if n_attributes < 2:
-        return (sensor_ids, id_array, means, order_first, None, None, None)
+        return (sensor_ids, means, order_first, None, None, None)
     overall = obs.sum(axis=0)
     overall /= n_rows
     point = overall.tolist()
@@ -1476,7 +1446,6 @@ def _window_stats(
             widest = square
     return (
         sensor_ids,
-        id_array,
         means,
         order_first,
         overall,
@@ -1491,12 +1460,10 @@ def _batched_window_means(
 ) -> "List[Optional[tuple]]":
     """Whole-trace per-window per-sensor means in one grouped pass.
 
-    Returns one entry per window: ``(sorted_sensor_ids,
-    sorted_sensor_id_array, means_matrix, first_occurrence_order,
-    overall_mean, full_group_mean, spread)`` where ``means_matrix``
-    rows follow ``sorted_sensor_ids`` (given both as a plain-int list
-    for dict keys and as the equivalent ``int64`` array for the vector
-    filter bank), ``first_occurrence_order`` permutes sorted positions
+    Returns one entry per window: ``(sorted_sensor_ids, means_matrix,
+    first_occurrence_order, overall_mean, full_group_mean, spread)``
+    where ``means_matrix`` rows follow ``sorted_sensor_ids`` (a
+    plain-int list), ``first_occurrence_order`` permutes sorted positions
     into the window's first-occurrence order (the dict order
     ``ArrayWindow.per_sensor_mean`` produces), ``overall_mean`` is the
     window's Eq. 2 mean and ``spread`` the largest distance from a
@@ -1598,8 +1565,7 @@ def _batched_window_means(
         # list/array across all windows and batch the per-window
         # first-occurrence argsorts into a single axis-1 call (stable
         # sort over exact ints — identical rows to per-window calls).
-        id_array = unique_ids.astype(np.int64, copy=False)
-        sensor_ids = id_array.tolist()
+        sensor_ids = unique_ids.astype(np.int64, copy=False).tolist()
         order_lists = np.argsort(
             first_rows.reshape(len(keep), n_codes), axis=1, kind="stable"
         ).tolist()
@@ -1607,7 +1573,6 @@ def _batched_window_means(
             a = k * n_codes
             stats[i] = (
                 sensor_ids,
-                id_array,
                 means[a : a + n_codes],
                 order_lists[k],
                 overall[k] if overall is not None else None,
@@ -1625,14 +1590,14 @@ def _batched_window_means(
             and not bool(overall_finite[k])
         ):
             continue  # slow lane: the oracle raises on a non-finite mean
-        id_array = unique_ids[present[a:b] - k * n_codes].astype(
-            np.int64, copy=False
+        sensor_ids = (
+            unique_ids[present[a:b] - k * n_codes]
+            .astype(np.int64, copy=False)
+            .tolist()
         )
-        sensor_ids = id_array.tolist()
         order_first = np.argsort(first_rows[a:b], kind="stable").tolist()
         stats[i] = (
             sensor_ids,
-            id_array,
             means[a:b],
             order_first,
             overall[k] if overall is not None else None,

@@ -83,6 +83,19 @@ class TestCommands:
         for mode in ("off", "warn", "repair"):
             assert mode in out
 
+    def test_parity_fails_when_no_window_certifies(self, capsys, monkeypatch):
+        # Equal results from engines that never took the certified lane
+        # prove nothing about it: the gate must not pass vacuously.
+        from repro.core.pipeline import DetectionPipeline
+
+        monkeypatch.setattr(
+            DetectionPipeline, "_window_step", lambda self, window, stat: False
+        )
+        assert main(["parity", "--days", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "certified=0 FAIL" in out
+        assert "parity FAIL" in out
+
 
 class TestCLIReporting:
     def test_scenario_save_writes_json(self, capsys, tmp_path):

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.alarms import AlarmGenerator
 from repro.core.clustering import OnlineStateClusterer
 from repro.core.filtering import (
+    AlarmFilter,
     CUSUMFilter,
     FilterBank,
     KOfNFilter,
     SPRTFilter,
+    filter_from_state_dict,
 )
 from repro.core.identification import identify_window
 
@@ -170,3 +174,104 @@ class TestFilterBank:
         bank = FilterBank(factory=lambda: KOfNFilter(k=1, n=1))
         bank.update(1, {5: True, 2: True, 7: False})
         assert bank.active_sensors() == [2, 5]
+
+
+#: A raw-alarm history: a random prefix, then a run of one raw, which
+#: drives the filters into their settled states often.
+histories = st.tuples(
+    st.lists(st.booleans(), max_size=10), st.booleans(), st.integers(0, 8)
+).map(lambda parts: parts[0] + [parts[1]] * parts[2])
+
+
+@st.composite
+def k_of_n_filters(draw):
+    n = draw(st.integers(1, 5))
+    filt = KOfNFilter(k=draw(st.integers(1, n)), n=n)
+    if draw(st.booleans()):  # a restored state, flag possibly stale
+        payload = filt.state_dict()
+        payload["window"] = draw(st.lists(st.booleans(), max_size=n))
+        payload["active"] = draw(st.booleans())
+        filt = filter_from_state_dict(payload)
+    return filt
+
+
+@st.composite
+def sprt_filters(draw):
+    p0 = draw(st.floats(0.01, 0.4))
+    filt = SPRTFilter(
+        p0=p0,
+        p1=draw(st.floats(p0 + 0.05, 0.95)),
+        alpha=draw(st.floats(0.01, 0.2)),
+        beta=draw(st.floats(0.01, 0.2)),
+    )
+    if draw(st.booleans()):
+        filt._llr = draw(st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0))
+        filt._active = draw(st.booleans())
+    return filt
+
+
+@st.composite
+def cusum_filters(draw):
+    filt = CUSUMFilter(
+        drift=draw(st.floats(0.05, 0.95)), threshold=draw(st.floats(0.5, 4.0))
+    )
+    if draw(st.booleans()):
+        filt._g = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 5.0))
+        filt._active = draw(st.booleans())
+    return filt
+
+
+class TestSettled:
+    """``settled(raw)`` promises that ``update(raw)`` changes no state:
+    the certified lane of the detection pipeline skips settled filters."""
+
+    @pytest.mark.parametrize(
+        "filters", (k_of_n_filters(), sprt_filters(), cusum_filters()),
+        ids=("k_of_n", "sprt", "cusum"),
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_settled_update_keeps_state(self, filters, data):
+        filt = data.draw(filters)
+        for raw in data.draw(histories):
+            filt.update(raw)
+        for raw in (False, True):
+            if filt.settled(raw):
+                state, active = repr(filt.state_dict()), filt.active
+                assert filt.update(raw) == active
+                assert filt.active == active
+                assert repr(filt.state_dict()) == state
+
+    def test_settled_states(self):
+        k_of_n = KOfNFilter(k=2, n=3)
+        for _ in range(2):
+            k_of_n.update(True)
+        assert not k_of_n.settled(True)  # the ring is not full yet
+        k_of_n.update(True)
+        assert k_of_n.settled(True) and not k_of_n.settled(False)
+        stale = filter_from_state_dict(
+            dict(k_of_n.state_dict(), window=[False] * 3, active=True)
+        )
+        assert not stale.settled(False)  # the next update clears the flag
+        cusum = CUSUMFilter()
+        assert cusum.settled(False) and not cusum.settled(True)
+        cusum._g = -0.0  # the next update makes it +0.0
+        assert not cusum.settled(False)
+        sprt = SPRTFilter()
+        for _ in range(20):
+            sprt.update(False)
+            assert not sprt.settled(False) and not sprt.settled(True)
+
+    def test_overridden_update_is_never_settled(self):
+        class Latch(KOfNFilter):
+            def update(self, raw: bool) -> bool:
+                self._active = self._active or raw
+                return self._active
+
+        class Base(AlarmFilter):
+            pass
+
+        latch = Latch(k=1, n=1)
+        latch._window.append(False)
+        assert not latch.settled(False)
+        assert not Base().settled(False)

@@ -1,14 +1,15 @@
 """Fused engine vs per-window oracle: bit-identical or the test fails.
 
-The struct-of-arrays batch path (``process_windows_fast``) only earns
-its speedup if it is *exactly* the per-window oracle
-(``_process_window_reference``) — same digests, same checkpoint
-snapshots, same ``WindowResult`` stream, under every alarm-filter kind
-and supervisor mode (``tests/test_stream_parity.py`` does the same for
-the streamed ``process_window``).  Every assertion here is exact ``==`` (no tolerances): the fused
-engine's certified shortcuts (vector filter banks, incremental
-clustering caches, steady-stretch certification) are go/no-go caches
-that must never change a single bit of output.
+The fused batch path (``process_windows_fast``) only earns its speedup
+if it is *exactly* the per-window oracle (``_process_window_reference``)
+— same digests, same checkpoint snapshots, same ``WindowResult``
+stream, under every alarm-filter kind and supervisor mode
+(``tests/test_stream_parity.py`` does the same for the streamed
+``process_window``).  Every assertion here is exact ``==`` (no
+tolerances): the fused engine's certified shortcuts (the batched window
+means, the certified pair bound, steady-stretch certification and its
+skip of settled alarm filters) are go/no-go caches that must never
+change a single bit of output.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ import numpy as np
 import pytest
 
 from repro import DetectionPipeline, PipelineConfig
-from repro.core.filtering import (
-    CUSUMFilter,
-    FilterBank,
-    KOfNFilter,
-    SPRTFilter,
-    VectorFilterBank,
-)
+from repro.core.filtering import KOfNFilter
 from repro.core import pipeline as pipeline_module
 from repro.faults.attacks import DynamicCreationAttack, DynamicDeletionAttack
 from repro.faults.base import ActivationSchedule
@@ -219,87 +214,6 @@ class TestSyntheticEdgeCases:
         assert snapshot_json(resumed) == snapshot_json(oracle)
 
 
-def _scalar_bank(kind: str) -> FilterBank:
-    factory = {
-        "k_of_n": KOfNFilter,
-        "sprt": SPRTFilter,
-        "cusum": CUSUMFilter,
-    }[kind]
-    return FilterBank(factory=factory)
-
-
-def _vector_bank(kind: str) -> VectorFilterBank:
-    prototype = {
-        "k_of_n": KOfNFilter,
-        "sprt": SPRTFilter,
-        "cusum": CUSUMFilter,
-    }[kind]()
-    return VectorFilterBank.from_prototype(prototype)
-
-
-def _raw_stream(n_windows: int, n_sensors: int, seed: int = 5):
-    rng = np.random.default_rng(seed)
-    return rng.random((n_windows, n_sensors)) < 0.4
-
-
-class TestFilterBankStateDictInterchange:
-    """Scalar and vector banks must share one checkpoint format."""
-
-    @pytest.mark.parametrize("kind", FILTER_KINDS)
-    def test_state_dicts_match_after_identical_streams(self, kind):
-        scalar = _scalar_bank(kind)
-        vector = _vector_bank(kind)
-        sensor_ids = np.arange(6)
-        for index, raws in enumerate(_raw_stream(50, 6)):
-            scalar_out = scalar.update(
-                index, {int(s): bool(r) for s, r in zip(sensor_ids, raws)}
-            )
-            vector_out = vector.update_batch(index, sensor_ids, raws)
-            assert scalar_out == vector_out
-        assert scalar.state_dict() == vector.state_dict()
-
-    @pytest.mark.parametrize("kind", FILTER_KINDS)
-    def test_cross_round_trip_continues_identically(self, kind):
-        # scalar -> vector and vector -> scalar restores must both
-        # continue the stream exactly where the original left off.
-        sensor_ids = np.arange(6)
-        stream = _raw_stream(80, 6, seed=9)
-        scalar = _scalar_bank(kind)
-        for index, raws in enumerate(stream[:40]):
-            scalar.update(
-                index, {int(s): bool(r) for s, r in zip(sensor_ids, raws)}
-            )
-
-        vector = _vector_bank(kind)
-        vector.load_state_dict(scalar.state_dict())
-        assert vector.state_dict() == scalar.state_dict()
-
-        back = _scalar_bank(kind)
-        back.load_state_dict(vector.state_dict())
-        assert back.state_dict() == scalar.state_dict()
-
-        for index, raws in enumerate(stream[40:], start=40):
-            raw_map = {int(s): bool(r) for s, r in zip(sensor_ids, raws)}
-            assert (
-                scalar.update(index, raw_map)
-                == vector.update_batch(index, sensor_ids, raws)
-                == back.update(index, raw_map)
-            )
-        assert scalar.state_dict() == vector.state_dict()
-        assert scalar.state_dict() == back.state_dict()
-
-    def test_vector_bank_rejects_mixed_kind_payload(self):
-        scalar = FilterBank(factory=KOfNFilter)
-        scalar.update(0, {0: True})
-        mixed = _scalar_bank("sprt")
-        mixed.update(0, {1: True})
-        payload = scalar.state_dict()
-        payload["filters"].append(mixed.state_dict()["filters"][0])
-        vector = _vector_bank("k_of_n")
-        with pytest.raises(ValueError):
-            vector.load_state_dict(payload)
-
-
 class TestKOfNRunningCount:
     """The O(1) running count must always equal the ring-buffer sum."""
 
@@ -326,54 +240,6 @@ class TestKOfNRunningCount:
         assert restored.active
 
 
-class TestFixedRawPlan:
-    """A stretch defers k-of-n updates under fixed raws: the planned
-    flips and the bulk advance must equal update-by-update."""
-
-    @pytest.mark.parametrize("deferred", range(0, 13))
-    def test_plan_and_advance_match_update_batch(self, deferred):
-        rng = np.random.default_rng(deferred)
-        sensor_ids = np.arange(6)
-        raws = np.array([True, False, True, False, False, True])
-        for warmup in range(5, 10):
-            planned = _vector_bank("k_of_n")
-            stepped = _vector_bank("k_of_n")
-            for index, window in enumerate(_raw_stream(warmup, 6, seed=warmup)):
-                planned.update_batch(index, sensor_ids, window)
-                stepped.update_batch(index, sensor_ids, window)
-            flips = planned.fixed_raw_flips(sensor_ids, raws)
-            emitted = {}
-            for step in range(deferred):
-                for transition in stepped.update_batch(100 + step, sensor_ids, raws):
-                    emitted.setdefault(step, []).append(
-                        (transition.sensor_id, transition.raised)
-                    )
-            planned.advance_fixed(raws, deferred)
-            assert {s: f for s, f in flips.items() if s < deferred} == emitted
-            assert planned.state_dict() == stepped.state_dict()
-            # ...and both keep stepping identically afterwards.
-            for index, window in enumerate(_raw_stream(4, 6, seed=rng.integers(99))):
-                assert planned.update_batch(200 + index, sensor_ids, window) == (
-                    stepped.update_batch(200 + index, sensor_ids, window)
-                )
-
-    def test_only_lockstep_k_of_n_plans(self):
-        sensor_ids = np.arange(4)
-        raws = np.zeros(4, dtype=bool)
-        for kind in ("sprt", "cusum"):
-            bank = _vector_bank(kind)
-            bank.update_batch(0, sensor_ids, raws)
-            assert bank.fixed_raw_flips(sensor_ids, raws) is None
-        bank = _vector_bank("k_of_n")
-        bank.update_batch(0, sensor_ids, raws)
-        # A window missing a live sensor cannot be planned.
-        assert bank.fixed_raw_flips(sensor_ids[:3], raws[:3]) is None
-        assert bank.fixed_raw_flips(sensor_ids, raws) == {}
-        # Nor can one whose new sensor breaks the rings' lockstep.
-        grown = np.arange(5)
-        assert bank.fixed_raw_flips(grown, np.zeros(5, dtype=bool)) is None
-
-
 class TestGroupMeans:
     """The certificates' Eq. 5 group means must be the oracle's floats
     (two or more attributes: single-attribute windows never certify,
@@ -394,3 +260,39 @@ class TestGroupMeans:
             for group, mean in zip(groups, means):
                 expected = np.mean(rows[group], axis=0).tolist()
                 assert [repr(x) for x in mean] == [repr(x) for x in expected]
+
+
+class TestOtherSteps:
+    """Each target's largest Eq. 6 step of any other state, answered
+    from the window's two largest steps, is the brute-force maximum:
+    tied leaders, zero steps and lone movers included."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        ties = 0
+        for _ in range(300):
+            n_states = int(rng.integers(1, 7))
+            # Few distinct vectors and goals, so step lengths tie often.
+            vecs = rng.normal(0.0, 5.0, (3, 2))[rng.integers(0, 3, n_states)]
+            pool = rng.normal(0.0, 5.0, (2, 2)).tolist()
+            targets = rng.permutation(n_states)[
+                : int(rng.integers(1, n_states + 1))
+            ].tolist()
+            goals = [
+                vecs[target].tolist()
+                if rng.random() < 0.2
+                else pool[int(rng.integers(0, 2))]
+                for target in targets
+            ]
+            _, steps, others = pipeline_module._eq6_moves(
+                vecs.tolist(), targets, goals, 0.1
+            )
+            assert list(others) == targets
+            for target in targets:
+                assert others[target] == max(
+                    [step for index, step in steps.items() if index != target],
+                    default=0.0,
+                )
+            ties += len(set(steps.values())) < len(steps)
+        assert ties > 0

@@ -1,18 +1,17 @@
 """Streaming ``process_window`` vs the per-window oracle: exact or fail.
 
 ``process_window`` runs the fused engine one window at a time, keeping
-its vector filter bank and any certified steady stretch live across
-calls and folding them back (``_sync``) before anything reads pipeline
-state.  These tests pin that step to the oracle
-``_process_window_reference`` with exact ``==`` on digests, JSON
-snapshots and per-window results: round-robin deployments, reads and
-checkpoints taken mid-stretch, partition stretches (a faulty sensor in
-its own state next to the majority), re-pins and stretches opened by
-the window-derived certificate, sensor means within 1e-9 of a decision
-boundary, supervised modes, the oracle fallback of a custom filter
-factory, the slow lane of message-backed and non-finite windows, the
-one-window stats kernel itself, and the results of certified windows,
-which build their fields on first read.
+any certified steady stretch open across calls and folding it back
+(``_sync``) before anything reads pipeline state.  These tests pin that
+step to the oracle ``_process_window_reference`` with exact ``==`` on
+digests, JSON snapshots and per-window results: round-robin
+deployments, reads and checkpoints taken mid-stretch, partition
+stretches (a faulty sensor in its own state next to the majority),
+re-pins and stretches opened by the window-derived certificate, sensor
+means within 1e-9 of a decision boundary, supervised modes, custom and
+restored filter banks, the slow lane of message-backed and non-finite
+windows, the one-window stats kernel itself, and the results of
+certified windows, which build their fields on first read.
 """
 
 from __future__ import annotations
@@ -20,8 +19,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import pickle
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DetectionPipeline, PipelineConfig, WindowResult
-from repro.core.filtering import FilterBank, KOfNFilter
+from repro.core.filtering import AlarmFilter, FilterBank, KOfNFilter
 from repro.core.pipeline import _CERTIFIED, _batched_window_means, _window_stats
 from repro.faults.attacks import (
     DynamicCreationAttack,
@@ -250,27 +253,31 @@ class TestReadsMidStretch:
         assert_identical(pipeline, results, oracle, oracle_results)
 
     def test_state_readers_fold_the_stretch(self):
-        # Readers of deferred state end the open stretch; the scalar
-        # filter bank accessor also folds and drops the vector bank.
+        # Readers of deferred state end the open stretch, the filter
+        # bank accessor too, and the bank it hands out is the oracle's.
         windows = iter(deployment_windows("none", seed=34, n_days=3))
         pipeline = DetectionPipeline()
+        oracle = DetectionPipeline()
         for read in (
             lambda p: p.digest(),
             lambda p: p.snapshot(),
             lambda p: p.state_vectors(),
             lambda p: p.clusterer,
             lambda p: p.alarm_generator,
+            lambda p: p.filter_bank,
         ):
             for window in windows:
                 pipeline.process_window(window)
+                oracle._process_window_reference(window)
                 if pipeline._steady is not None:
                     break
             assert pipeline._steady is not None
             read(pipeline)
             assert pipeline._steady is None
-        assert pipeline._vector_bank is not None
-        pipeline.filter_bank
-        assert pipeline._vector_bank is None
+            assert (
+                pipeline.filter_bank.state_dict()
+                == oracle.filter_bank.state_dict()
+            )
 
     def test_restore_mid_stretch_continues_identically(self):
         # (c) a checkpoint taken inside a stretch resumes bit-exactly.
@@ -303,21 +310,44 @@ class TestSupervisedAndFallback:
             oracle, oracle_results = run_oracle(config, windows)
             assert_identical(stream, results, oracle, oracle_results)
 
-    def test_custom_filter_factory_takes_the_oracle(self):
-        # (e) a filter the vector bank cannot mirror (a subclass may
-        # override ``update``): every window runs the oracle, and no
-        # live vector bank is ever built.
-        class Sticky(KOfNFilter):
-            pass
-
-        windows = hostile_windows(seed=4)
-        stream = DetectionPipeline()
-        oracle = DetectionPipeline()
-        stream.filter_bank = FilterBank(factory=lambda: Sticky(k=2, n=3))
-        oracle.filter_bank = FilterBank(factory=lambda: Sticky(k=2, n=3))
-        results = [stream.process_window(w) for w in windows]
-        assert stream._scalar_only and stream._vector_bank is None
+    @pytest.mark.parametrize(
+        "bank", ("stock-subclass", "custom-filter", "restored-under-cusum")
+    )
+    def test_any_filter_bank_certifies(self, bank):
+        # (e) the fused step, the certified lane and the oracle drive
+        # one FilterBank, so any bank streams through the fused engine:
+        # a subclass of a stock filter, a filter outside the stock three
+        # (never settled, so updated every certified window), and a
+        # k-of-n pipeline restored from a CUSUM checkpoint (its bank
+        # holds filters its factory does not make).
+        windows = deployment_windows("stuck_at", seed=5, n_days=3)
+        config = PipelineConfig()
+        if bank == "restored-under-cusum":
+            head = DetectionPipeline(PipelineConfig(filter_kind="cusum"))
+            head.process_windows_fast(windows[:24])
+            payload = json.loads(snapshot_json(head))
+            stream = DetectionPipeline.restore(payload, config=config)
+            oracle = DetectionPipeline.restore(payload, config=config)
+            windows = windows[24:]
+            filters = stream.filter_bank.state_dict()["filters"]
+            assert {state["kind"] for _, state in filters} == {"cusum"}
+        else:
+            factory = {
+                "stock-subclass": lambda: Sticky(k=2, n=3),
+                "custom-filter": Hysteresis,
+            }[bank]
+            stream = DetectionPipeline(config)
+            oracle = DetectionPipeline(config)
+            stream.filter_bank = FilterBank(factory=factory)
+            oracle.filter_bank = FilterBank(factory=factory)
+        results = []
+        certified = 0
+        for window in windows:
+            results.append(stream.process_window(window))
+            certified += hasattr(results[-1], _CERTIFIED)
+        assert certified > len(windows) // 2
         oracle_results = [oracle._process_window_reference(w) for w in windows]
+        assert any(r.filter_transitions for r in oracle_results)
         assert_identical(stream, results, oracle, oracle_results)
 
     def test_message_and_non_finite_windows_take_the_slow_lane(self):
@@ -344,6 +374,38 @@ class TestSupervisedAndFallback:
                 results = [stream.process_window(w) for w in windows]
                 oracle, oracle_results = run_oracle(config, windows)
                 assert_identical(stream, results, oracle, oracle_results)
+
+
+class Sticky(KOfNFilter):
+    """A stock filter's subclass: it inherits ``update`` and ``settled``."""
+
+
+class Hysteresis(AlarmFilter):
+    """A filter outside the stock three: raised after two raw alarms in
+    a row, cleared after two quiet windows in a row.  It keeps the
+    default ``settled`` (never)."""
+
+    def __init__(self) -> None:
+        self._run = 0
+        self._active = False
+
+    def update(self, raw: bool) -> bool:
+        self._run = self._run + 1 if raw == (not self._active) else 0
+        if self._run >= 2:
+            self._active = not self._active
+            self._run = 0
+        return self._active
+
+    @property
+    def active(self) -> bool:
+        return self._active
+
+    def reset(self) -> None:
+        self._run = 0
+        self._active = False
+
+    def state_dict(self) -> dict:
+        return {"kind": "hysteresis", "run": self._run, "active": self._active}
 
 
 def partition_open(pipeline: DetectionPipeline) -> bool:
@@ -461,18 +523,26 @@ class TestPartitionStretches:
 
     @pytest.mark.parametrize("kind", ("sprt", "cusum"))
     def test_sprt_and_cusum_never_quiesce(self, kind):
+        # SPRT ratios and the stuck sensor's CUSUM score move under a
+        # fixed raw, so every certified split window changes the bank,
+        # which then equals the oracle's bank after the same window.
         windows = deployment_windows("stuck_at", seed=43)
         config = PipelineConfig(filter_kind=kind)
         pipeline = DetectionPipeline(config)
+        oracle = DetectionPipeline(config)
         results = []
         opened = 0
         for window in windows:
+            previous = oracle.filter_bank.state_dict()
+            oracle._process_window_reference(window)
             results.append(pipeline.process_window(window))
             if partition_open(pipeline):
                 opened += 1
-                assert pipeline._steady.flips is None
+                bank = pipeline.filter_bank.state_dict()
+                assert bank == oracle.filter_bank.state_dict()
+                assert bank != previous
         assert opened > 0
-        oracle, oracle_results = run_oracle(config, windows)
+        _, oracle_results = run_oracle(config, windows)
         assert_identical(pipeline, results, oracle, oracle_results)
 
     def test_majority_tie_falls_back(self):
@@ -604,29 +674,36 @@ class TestRepinAndCertificateEntry:
         assert_identical(pipeline, results, oracle, oracle_results)
 
     def test_raw_flip_under_saturated_k_of_n(self):
-        # By window 60 the split stretch has deferred more than n k-of-n
-        # updates (every ring saturated at its raw) and its alarm-history
-        # runs; sensor 6's raw flips, so both fold before the new raws
-        # apply, and the new pin plans sensor 6's raise three updates on.
+        # By window 60 the split stretch has certified more than n
+        # windows (every k-of-n ring settled at its raw) and deferred
+        # its alarm-history runs; sensor 6's raw flips, so the runs fold
+        # before the new raws apply, and sensor 6's unsettled filter
+        # raises k certified windows on, inside the re-pinned stretch.
         windows = scripted_windows(migrating)
         config = PipelineConfig()
         pipeline = DetectionPipeline(config)
         results = []
+        stretch = None
         for window in windows:
             before = pipeline._steady
             if window.index == 60:
-                assert before is not None and before.flips is not None
-                assert before.filter_count >= config.filter_n
-                assert before.count > 0
-                flipped = before.raws.copy()
+                assert before is not None and before.count >= config.filter_n
+                flipped = list(before.raws)
+                stretch = before
             results.append(pipeline.process_window(window))
             if window.index == 60:
-                assert pipeline._steady is before
-                assert (before.raws != flipped).tolist() == [
+                assert [a != b for a, b in zip(before.raws, flipped)] == [
                     sensor == 6 for sensor in range(8)
                 ]
-                assert before.filter_count == 1 and before.count == 1
-                assert before.flips == {config.filter_k - 1: [(6, True)]}
+                assert before.count == 1
+            if 60 <= window.index < 60 + config.filter_k:
+                assert pipeline._steady is stretch
+        raised = [
+            (result.window_index, transition.sensor_id, transition.raised)
+            for result in results[59:]
+            for transition in result.filter_transitions
+        ]
+        assert raised[0] == (60 + config.filter_k - 1, 6, True)
         oracle, oracle_results = run_oracle(config, windows)
         assert_identical(pipeline, results, oracle, oracle_results)
 
@@ -681,23 +758,36 @@ class TestRepinAndCertificateEntry:
 
     @pytest.mark.parametrize("kind", ("sprt", "cusum"))
     def test_sprt_and_cusum(self, kind):
+        # The re-pin at window 60 flips sensor 6's raw; its SPRT or
+        # CUSUM filter raises a few windows on, in a certified window of
+        # the re-pinned stretch.
         windows = scripted_windows(migrating)
         config = PipelineConfig(filter_kind=kind)
         pipeline = DetectionPipeline(config)
+        open_after = {}
         results, repinned, _ = stream_pins(
             pipeline,
             windows,
-            lambda p, index, _: p._steady is None or p._steady.flips is None
-            or pytest.fail("a non-k-of-n bank deferred its updates"),
+            lambda p, index, _: open_after.setdefault(index, p._steady),
         )
         assert 60 in repinned
+        raises = [
+            result.window_index
+            for result in results[60:]
+            for transition in result.filter_transitions
+            if transition.sensor_id == 6 and transition.raised
+        ]
+        assert raises
+        for index in range(60, raises[0] + 1):
+            assert open_after[index] is open_after[60]
         oracle, oracle_results = run_oracle(config, windows)
         assert_identical(pipeline, results, oracle, oracle_results)
 
     def test_new_sensor_opens_an_unplanned_stretch(self):
         # Sensor 8 first reports in window 50, inside a split stretch:
         # the window certifies and opens a stretch over the new sensor
-        # set, and the grown k-of-n bank (out of lockstep) runs live.
+        # set, whose certified windows fill the newcomer's empty k-of-n
+        # ring; after n of them the bank is the oracle's.
         def newcomer(index, sensor):
             if sensor == 8:
                 return HOME if index >= 50 else None
@@ -706,14 +796,23 @@ class TestRepinAndCertificateEntry:
         windows = scripted_windows(newcomer, n_sensors=9)
         config = PipelineConfig()
         pipeline = DetectionPipeline(config)
+        full = 50 + config.filter_n - 1
         open_after = {}
-        results, _, opened = stream_pins(
-            pipeline,
-            windows,
-            lambda p, index, _: open_after.setdefault(index, p._steady),
-        )
+        banks = {}
+
+        def after(p, index, _):
+            open_after.setdefault(index, p._steady)
+            if index == full:
+                banks["stream"] = p.filter_bank.state_dict()
+
+        results, _, opened = stream_pins(pipeline, windows, after)
         assert open_after[49] is not None and 50 in opened
-        assert len(open_after[50].ids) == 9 and open_after[50].flips is None
+        assert len(open_after[50].ids) == 9
+        assert open_after[full] is open_after[50]
+        head, _ = run_oracle(config, windows[:full])
+        assert banks["stream"] == head.filter_bank.state_dict()
+        newcomer = dict(banks["stream"]["filters"])[8]
+        assert newcomer["window"] == [False] * config.filter_n
         oracle, oracle_results = run_oracle(config, windows)
         assert_identical(pipeline, results, oracle, oracle_results)
 
@@ -935,7 +1034,7 @@ class TestLeanStatsKernel:
             certified or (n_attributes == 1 and case == "overall-sum-overflows")
         )
         if case == "group-sum-overflows" and n_attributes > 1:
-            assert math.isinf(ours[5][0]) and math.isinf(ours[6])
+            assert math.isinf(ours[4][0]) and math.isinf(ours[5])
 
     @pytest.mark.parametrize("n_attributes", (1, 2, 3, 5))
     def test_random_windows(self, n_attributes):
@@ -965,8 +1064,8 @@ class TestLeanStatsKernel:
         assert window.observations.flags.c_contiguous
         assert np.array_equal(window.observations, observations)
         ours, theirs = both_kernels(window)
-        assert window.overall_mean().tobytes() == ours[4].tobytes()
-        assert ours[4].tobytes() == theirs[4].tobytes()
+        assert window.overall_mean().tobytes() == ours[3].tobytes()
+        assert ours[3].tobytes() == theirs[3].tobytes()
 
     def test_trace_windows_stay_views(self):
         values = np.arange(24, dtype=float).reshape(12, 2)
@@ -1118,3 +1217,75 @@ class TestCertifiedResults:
         assert result.identification is not None
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.raw_alarms = ()
+
+    def test_result_layout_is_independent_of_creation_order(self, tmp_path):
+        # CPython fixes a class's shared attribute layout from the first
+        # instances a process creates.  In a fresh interpreter that only
+        # restores a checkpoint, the first results are certified ones; an
+        # eager result built afterwards must still take the bytes it
+        # takes when eager results come first.
+        windows = deployment_windows("none", seed=47, n_days=3)
+        head = DetectionPipeline()
+        head.process_windows_fast(windows[:24])
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(snapshot_json(head))
+        tail = tmp_path / "windows.pickle"
+        tail.write_bytes(pickle.dumps(windows[24:72]))
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        probes = {}
+        for order in ("eager-first", "certified-first"):
+            done = subprocess.run(
+                [sys.executable, "-c", LAYOUT_PROBE, str(checkpoint), str(tail)]
+                + [order],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            probes[order] = json.loads(done.stdout)
+        assert probes["certified-first"]["leading_certified"] >= 40
+        eager, certified_first = (
+            probes[order]["bytes_per_result"]
+            for order in ("eager-first", "certified-first")
+        )
+        assert abs(certified_first - eager) < 4.0, probes
+
+
+#: Run in a fresh interpreter: restore a checkpoint, stream windows
+#: (optionally after building eager results first), then measure the
+#: tracemalloc bytes of each new eager ``WindowResult``.
+LAYOUT_PROBE = """
+import json, pickle, sys, tracemalloc
+from repro import DetectionPipeline, WindowResult
+from repro.core.pipeline import _CERTIFIED
+
+checkpoint, tail, order = sys.argv[1:]
+warm = []
+if order == "eager-first":
+    warm = [WindowResult(window_index=0, skipped=True) for _ in range(64)]
+with open(checkpoint) as handle:
+    pipeline = DetectionPipeline.restore(json.load(handle))
+with open(tail, "rb") as handle:
+    windows = pickle.load(handle)
+results = [pipeline.process_window(window) for window in windows]
+leading = 0
+for result in results:
+    if not hasattr(result, _CERTIFIED):
+        break
+    leading += 1
+fields = dict(
+    window_index=1, skipped=False, identification=None, cluster_update=None,
+    raw_alarms=(), filter_transitions=(), n_model_states=3,
+)
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+made = [WindowResult(**fields) for _ in range(5000)]
+used = tracemalloc.get_traced_memory()[0] - before
+tracemalloc.stop()
+print(json.dumps({"leading_certified": leading, "bytes_per_result": used / len(made)}))
+"""
